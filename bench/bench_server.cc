@@ -12,7 +12,11 @@
 // quietly slowing the generator down (the coordinated-omission trap).
 //
 // Emits BENCH_server.json: per connection count, aggregate throughput,
-// p50/p99 latency, and the server-side cache hit rate. Latency percentiles
+// p50/p99 latency, and the server-side cache hit rate. ta_throughput_rps
+// is the *offered* open-loop rate (connections × per-connection arrival
+// rate), not capacity: a server that keeps up reports the schedule. The
+// server's capacity is bench_e2e's closed-loop throughput_rps
+// (bench/e2e/README.md). Latency percentiles
 // come from obs histograms — ta_p50_us/ta_p99_us are the server's own
 // `server.request.latency` distribution (a Delta isolates this run), and
 // ta_sched_p99_us is the client-side open-loop schedule-to-response

@@ -164,16 +164,18 @@ std::string TableShape::ToString() const {
 
 AbstractDatabase AbstractDatabase::FromDatabase(const TabularDatabase& db) {
   AbstractDatabase out;
-  for (const Table& t : db.tables()) {
-    SymbolSet cols, rows;
-    for (size_t j = 1; j <= t.width(); ++j) cols.insert(t.ColumnAttribute(j));
-    for (size_t i = 1; i <= t.height(); ++i) rows.insert(t.RowAttribute(i));
+  for (size_t k = 0; k < db.size(); ++k) {
+    const Table& t = db.tables()[k];
+    SymbolSet cols(t.ColAttrs().begin(), t.ColAttrs().end());
+    // Memoized per stored table: O(#distinct row attributes), not O(rows),
+    // after the table's first use by any copy of the database.
+    const SymbolSet& rows = db.RowAttributeSet(k);
     TableShape shape;
     shape.cols = AttrSet::Of(cols);
     shape.rows = AttrSet::Of(rows);
     shape.certain = true;
     shape.must_cols = MustSet::Of(std::move(cols));
-    shape.must_rows = MustSet::Of(std::move(rows));
+    shape.must_rows = MustSet::Of(rows);
     shape.row_card = CardInterval::Exact(t.height());
     shape.col_card = CardInterval::Exact(t.width());
     shape.count = CardInterval::Exact(1);

@@ -53,30 +53,28 @@ void CollectWrittenPools(const std::vector<lang::Statement>& stmts,
   }
 }
 
-}  // namespace
+/// `shape` with every cardinality interval coarsened (see CoarsenedSchema).
+TableShape Coarsened(TableShape shape) {
+  shape.row_card = Coarsen(shape.row_card);
+  shape.col_card = Coarsen(shape.col_card);
+  shape.count = Coarsen(shape.count);
+  return shape;
+}
 
-AbstractDatabase CoarsenedSchema(const core::TabularDatabase& db) {
-  AbstractDatabase exact = AbstractDatabase::FromDatabase(db);
-  for (auto& [name, shape] : exact.tables) {
-    shape.row_card = Coarsen(shape.row_card);
-    shape.col_card = Coarsen(shape.col_card);
-    shape.count = Coarsen(shape.count);
-  }
+AbstractDatabase Coarsened(AbstractDatabase exact) {
+  for (auto& [name, shape] : exact.tables) shape = Coarsened(std::move(shape));
   return exact;
 }
 
-std::string SchemaFingerprint(const core::TabularDatabase& db) {
+/// `SchemaFingerprint` of the database whose exact image is `exact`.
+std::string Fingerprint(const AbstractDatabase& exact) {
   // The coarse classes carry analysis soundness (see CoarsenedSchema);
   // the appended row-size bucket only splits cache entries so that the
   // admission cost estimate attached to an entry is computed against a
   // database within one doubling of every pool it is reused for.
-  const AbstractDatabase exact = AbstractDatabase::FromDatabase(db);
   std::string out;
   for (const auto& [name, shape] : exact.tables) {
-    TableShape coarse = shape;
-    coarse.row_card = Coarsen(shape.row_card);
-    coarse.col_card = Coarsen(shape.col_card);
-    coarse.count = Coarsen(shape.count);
+    const TableShape coarse = Coarsened(shape);
     out += name.ToString();
     out += '=';
     out += coarse.ToString();
@@ -89,10 +87,20 @@ std::string SchemaFingerprint(const core::TabularDatabase& db) {
   return out;
 }
 
+}  // namespace
+
+AbstractDatabase CoarsenedSchema(const core::TabularDatabase& db) {
+  return Coarsened(AbstractDatabase::FromDatabase(db));
+}
+
+std::string SchemaFingerprint(const core::TabularDatabase& db) {
+  return Fingerprint(AbstractDatabase::FromDatabase(db));
+}
+
 ProgramCache::ProgramCache(Options options) : options_(options) {}
 
 std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
-    const std::string& text, const core::TabularDatabase& db) const {
+    const std::string& text, const AbstractDatabase& exact) const {
   TABULAR_TRACE_SPAN("program_cache.compile", "server");
   auto compiled = std::make_shared<CompiledProgram>();
   Result<lang::Program> parsed = lang::ParseProgram(text);
@@ -106,7 +114,7 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
   // Analyze against the coarsened image (see CoarsenedSchema): any error it
   // reports is definite for *every* database with this fingerprint, so the
   // rejection may be cached alongside positive compiles.
-  const AbstractDatabase coarse = CoarsenedSchema(db);
+  const AbstractDatabase coarse = Coarsened(exact);
   analysis::AnalysisResult analyzed =
       analysis::AnalyzeProgram(compiled->parsed, coarse);
   for (const analysis::Diagnostic& d : analyzed.diagnostics) {
@@ -131,8 +139,7 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
   // that reuse this entry match the compiling one per pool up to the
   // fingerprint's row-size class (one doubling); the observed feedback on
   // CompiledProgram covers the rest.
-  compiled->cost = analysis::EstimateCost(compiled->optimized,
-                                          AbstractDatabase::FromDatabase(db));
+  compiled->cost = analysis::EstimateCost(compiled->optimized, exact);
   CollectWrittenPools(compiled->optimized.statements,
                       &compiled->written_pools, &compiled->writes_all_pools);
   return compiled;
@@ -147,6 +154,9 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Get(
       obs::GetCounter("server.program_cache.evictions");
   static obs::Gauge& size_gauge = obs::GetGauge("server.program_cache.size");
 
+  // One exact image per lookup: it keys the entry and, on a miss, is what
+  // the compile analyzes (coarsened) and costs (as is).
+  const AbstractDatabase exact = AbstractDatabase::FromDatabase(db);
   if (options_.capacity == 0) {
     misses.Add(1);
     {
@@ -154,10 +164,10 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Get(
       ++misses_;
     }
     if (hit != nullptr) *hit = false;
-    return Compile(text, db);
+    return Compile(text, exact);
   }
 
-  const std::string key = SchemaFingerprint(db) + '\0' + text;
+  const std::string key = Fingerprint(exact) + '\0' + text;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -173,7 +183,7 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Get(
   // Compile outside the lock: a slow front-end must not stall sessions
   // hitting other entries. Two sessions racing on the same new key both
   // compile; the loser's insert finds the key present and reuses it.
-  std::shared_ptr<const CompiledProgram> compiled = Compile(text, db);
+  std::shared_ptr<const CompiledProgram> compiled = Compile(text, exact);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

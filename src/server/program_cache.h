@@ -158,8 +158,9 @@ class ProgramCache {
   uint64_t evictions() const;
 
  private:
+  /// Compiles `text` against the database whose exact image is `exact`.
   std::shared_ptr<const CompiledProgram> Compile(
-      const std::string& text, const core::TabularDatabase& db) const;
+      const std::string& text, const analysis::AbstractDatabase& exact) const;
 
   Options options_;
   mutable std::mutex mu_;

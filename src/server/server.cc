@@ -228,7 +228,8 @@ void Server::AcceptLoop() {
   // keep *actively refusing* connections (accept + immediate close), or
   // late clients would sit in the listen backlog unanswered until the
   // listen fd closes. Once draining, the wake pipe stays readable forever,
-  // so poll the listen fd alone on a short timeout instead of spinning.
+  // so poll the listen fd alone on a short timeout instead of spinning;
+  // Shutdown() wakes that poll by shutting the listen fd down.
   while (!stopped_.load(std::memory_order_acquire)) {
     const bool draining = ShutdownRequested();
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
@@ -485,9 +486,11 @@ std::string Server::HandleRun(const std::string& payload,
     admitted.Add(1);
   }
 
-  // Execute against a private copy. The front end already ran (analysis
-  // and certified rewrites are part of the cached compile), so the
-  // interpreter runs the compiled form directly.
+  // Execute against a private copy, which shares every table with the
+  // snapshot (O(#tables)): the interpreter replaces tables in `work`'s own
+  // list and never writes one. The front end already ran (analysis and
+  // certified rewrites are part of the cached compile), so the interpreter
+  // runs the compiled form directly.
   core::TabularDatabase work = *snap.db;
   lang::InterpreterOptions interp = options_.interp;
   interp.analyze_first = false;
@@ -558,12 +561,17 @@ void Server::WaitForShutdownRequest() {
 }
 
 void Server::Shutdown() {
-  RequestShutdown();
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true,
                                         std::memory_order_acq_rel)) {
     return;
   }
+  // `stopped_` is set before anything wakes the accept loop, so its next
+  // check exits. A loop already draining polls only the listen fd;
+  // shutdown(2) on a listening socket wakes that poll at once instead of
+  // at its timeout.
+  RequestShutdown();
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_http_ != nullptr) metrics_http_->Shutdown();
   if (listen_fd_ >= 0) {

@@ -13,7 +13,10 @@ namespace tabular::server {
 /// A pinned, immutable database version. Copyable; the underlying
 /// `TabularDatabase` is shared and never mutated after publication, so a
 /// snapshot may be read from any thread for as long as the holder keeps it
-/// alive — long after newer versions have been committed.
+/// alive — long after newer versions have been committed. Its tables are
+/// themselves shared, by pointer, with every other version and private copy
+/// holding them (see `core::TabularDatabase`): pinning an old snapshot
+/// keeps alive only its table list and the tables newer versions replaced.
 struct Snapshot {
   uint64_t version = 0;
   std::shared_ptr<const core::TabularDatabase> db;
@@ -31,6 +34,11 @@ struct Snapshot {
 /// first-committer-wins optimistic concurrency: the swap succeeds only when
 /// the base version is still current, so commits serialize into a linear
 /// version history and a reader can never observe a half-applied program.
+///
+/// Copy-on-write is table-granular. The copy shares every table with the
+/// snapshot, and programs replace tables rather than edit them, so a copy
+/// costs O(#tables) and a committed version shares every table the program
+/// did not write with its parent.
 class VersionedDatabase {
  public:
   /// Version 1 is the initial database.

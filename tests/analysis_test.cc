@@ -72,6 +72,43 @@ TEST(AnalysisShapeTest, FromDatabaseReadsBothRegions) {
   EXPECT_TRUE(state.DefinitelyAbsent(N("Other")));
 }
 
+TEST(AnalysisShapeTest, FromDatabaseAgreesOnCopiesBeforeAndAfterTheMemo) {
+  // Duplicate names, data values in row-attribute cells, ⊥ row attributes
+  // and a height-0 table: every case of the memoized row-attribute set.
+  constexpr std::string_view kGrid =
+      "!Sales | !Part  | !Sold\n"
+      "east   | nuts   | 50\n"
+      "west   | bolts  | 60\n"
+      "\n"
+      "!Sales | !Part  | !Sold\n"
+      "#      | screws | 70\n"
+      "\n"
+      "!Empty | !A\n";
+  auto parsed = io::ParseDatabase(kGrid);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const core::TabularDatabase db = std::move(*parsed);
+  const core::TabularDatabase copy = db;
+  auto fresh = io::ParseDatabase(kGrid);
+  ASSERT_TRUE(fresh.ok());
+
+  // The copy fills the memo it shares with `db`; `fresh` fills its own.
+  const AbstractDatabase unfilled = AbstractDatabase::FromDatabase(copy);
+  const AbstractDatabase shared = AbstractDatabase::FromDatabase(db);
+  const AbstractDatabase own = AbstractDatabase::FromDatabase(*fresh);
+  EXPECT_EQ(unfilled, shared);
+  EXPECT_EQ(unfilled, own);
+  // Every memo is filled now; the images must not move.
+  EXPECT_EQ(AbstractDatabase::FromDatabase(db), unfilled);
+  EXPECT_EQ(AbstractDatabase::FromDatabase(copy), unfilled);
+  EXPECT_EQ(AbstractDatabase::FromDatabase(*fresh), unfilled);
+
+  const TableShape& sales = unfilled.tables.at(N("Sales"));
+  EXPECT_EQ(sales.rows, AttrSet::Of({Symbol::Value("east"),
+                                     Symbol::Value("west"), Symbol::Null()}));
+  EXPECT_EQ(sales.count, CardInterval::Exact(2));
+  EXPECT_EQ(unfilled.tables.at(N("Empty")).rows, AttrSet::Of({}));
+}
+
 // -- Per-operation transfer functions ---------------------------------------
 
 TEST(AnalysisShapeTest, GroupMovesByAttributesIntoRows) {

@@ -92,8 +92,7 @@ TEST(EquivalenceTest, SubtleNonEquivalence) {
 TEST(EquivalentDatabasesTest, MatchesTablesInAnyOrder) {
   TabularDatabase a = fixtures::SalesInfo4(false);
   TabularDatabase b;
-  const auto& tables = a.tables();
-  for (auto it = tables.rbegin(); it != tables.rend(); ++it) b.Add(*it);
+  for (size_t i = a.size(); i-- > 0;) b.Add(a.tables()[i]);
   EXPECT_TRUE(EquivalentDatabases(a, b));
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "core/sales_data.h"
+#include "io/grid_format.h"
 #include "tests/test_util.h"
 
 namespace tabular::core {
@@ -77,6 +82,68 @@ TEST(DatabaseTest, TablesMayBeNamedNull) {
   db.Add(anonymous);
   EXPECT_TRUE(db.HasTableNamed(Symbol::Null()));
   EXPECT_EQ(db.Named(Symbol::Null()).size(), 1u);
+}
+
+// -- Table sharing ------------------------------------------------------------
+
+static_assert(
+    std::random_access_iterator<TabularDatabase::TableView::iterator>);
+
+TEST(DatabaseSharingTest, CopySharesTableStorage) {
+  const TabularDatabase orig = fixtures::SalesInfo4(true);
+  const TabularDatabase copy = orig;
+  ASSERT_EQ(copy.size(), orig.size());
+  for (size_t i = 0; i < orig.size(); ++i) {
+    EXPECT_EQ(&copy.tables()[i], &orig.tables()[i]) << "table " << i;
+  }
+}
+
+TEST(DatabaseSharingTest, EditingACopyLeavesTheOriginalAlone) {
+  const TabularDatabase orig = fixtures::SalesInfo1(true);
+  const std::string before = io::SerializeDatabase(orig);
+  TabularDatabase copy = orig;
+  copy.Add(Table::Parse({{"!Extra", "!A"}, {"#", "1"}}));
+  EXPECT_EQ(copy.RemoveNamed(N("Sales")), 1u);
+  EXPECT_EQ(io::SerializeDatabase(orig), before);
+  EXPECT_TRUE(orig.HasTableNamed(N("Sales")));
+  EXPECT_FALSE(orig.HasTableNamed(N("Extra")));
+  // The untouched table is still the original's storage.
+  ASSERT_EQ(copy.IndicesNamed(N("GrandTotal")).size(), 1u);
+  EXPECT_EQ(&copy.tables()[copy.IndicesNamed(N("GrandTotal"))[0]],
+            &orig.tables()[orig.IndicesNamed(N("GrandTotal"))[0]]);
+}
+
+/// The row-attribute set by a scan of every row: the reference the memo
+/// must match.
+SymbolSet ScanRowAttributes(const Table& t) {
+  SymbolSet out;
+  for (size_t i = 1; i <= t.height(); ++i) out.insert(t.RowAttribute(i));
+  return out;
+}
+
+TEST(DatabaseSharingTest, MemoizedRowAttributesMatchADirectScan) {
+  // SalesInfo1..4 cover duplicate table names (SalesInfo4) and data values
+  // in row-attribute cells (SalesInfo3); the empty table has height 0.
+  std::vector<TabularDatabase> dbs;
+  for (bool summaries : {false, true}) {
+    dbs.push_back(fixtures::SalesInfo1(summaries));
+    dbs.push_back(fixtures::SalesInfo2(summaries));
+    dbs.push_back(fixtures::SalesInfo3(summaries));
+    dbs.push_back(fixtures::SalesInfo4(summaries));
+  }
+  TabularDatabase empty;
+  empty.Add(Table::Parse({{"!Empty", "!A", "!B"}}));
+  dbs.push_back(empty);
+  for (const TabularDatabase& db : dbs) {
+    const TabularDatabase copy = db;
+    for (size_t i = 0; i < db.size(); ++i) {
+      const SymbolSet want = ScanRowAttributes(db.tables()[i]);
+      EXPECT_EQ(db.RowAttributeSet(i), want);
+      // The copy reads the same memo, not a second scan.
+      EXPECT_EQ(&copy.RowAttributeSet(i), &db.RowAttributeSet(i));
+    }
+  }
+  EXPECT_TRUE(empty.RowAttributeSet(0).empty());
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/compare.h"
 #include "core/sales_data.h"
+#include "io/grid_format.h"
 #include "lang/parser.h"
 #include "tests/test_util.h"
 
@@ -301,6 +307,37 @@ TEST(InterpreterTest, StepCounterReported) {
   Interpreter interp;
   ASSERT_TRUE(interp.Run(p, &db).ok());
   EXPECT_EQ(interp.steps_executed(), 2u);
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(InterpreterTest, RunningOnACopyNeverWritesTheSharedTables) {
+  // A database copy shares its tables with the original, so a kernel that
+  // wrote into an input table would show up in the original's bytes.
+  namespace fs = std::filesystem;
+  const fs::path examples = fs::path(TABULAR_SOURCE_DIR) / "examples";
+  auto parsed = io::ParseDatabase(ReadFile(examples / "sales.tdb"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TabularDatabase original = std::move(*parsed);
+  const std::string before = io::SerializeDatabase(original);
+
+  size_t ran = 0;
+  for (const auto& entry : fs::directory_iterator(examples)) {
+    if (entry.path().extension() != ".ta") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    Program program = MustParse(ReadFile(entry.path()).c_str());
+    TabularDatabase copy = original;
+    Interpreter interp;
+    if (interp.Run(program, &copy).ok()) ++ran;
+    EXPECT_EQ(io::SerializeDatabase(original), before);
+  }
+  EXPECT_GE(ran, 4u);  // the shipped examples that run on sales.tdb
 }
 
 }  // namespace

@@ -16,9 +16,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -142,6 +144,15 @@ TEST(SchemaFingerprintTest, EmptyAndNonemptyTablesDiffer) {
   const std::string empty = SchemaFingerprint(
       Db("!Sales | !Part  | !Region | !Sold\n"));
   EXPECT_NE(nonempty, empty);
+}
+
+TEST(SchemaFingerprintTest, RenderingIsPinned) {
+  // A literal, so that any change to the rendering — and with it to every
+  // cache key — shows up here.
+  EXPECT_EQ(SchemaFingerprint(Db(kSalesFlat)),
+            "Sales=cols={Part, Region, Sold} rows={⊥} "
+            "must_cols={Part, Region, Sold} must_rows={⊥} "
+            "#rows[1,∞) #cols[1,∞) #tables[1,∞)!#2\n");
 }
 
 TEST(SchemaFingerprintTest, DifferentColumnsDiffer) {
@@ -640,6 +651,74 @@ TEST(ServerTest, ExamplesMatchTheSingleShotInterpreterByteForByte) {
   EXPECT_GE(checked, 4u);  // the shipped examples
 }
 
+// -- Table sharing across versions -------------------------------------------
+
+TEST(ServerSharingTest, CommitsShareEveryUntouchedTableWithTheParent) {
+  // A second Tags carrier: duplicate names are shared like any table.
+  LiveServer live{Db(std::string(kSalesTags) + "\n!Tags | !Tag\n# | warm\n")};
+  const Snapshot parent = live.server->versions().Current();
+  const std::string parent_bytes = io::SerializeDatabase(*parent.db);
+
+  Client client = live.Connect();
+  auto run = client.Run("Sales <- project {Part, Sold} (Sales);\n"
+                        "Parts <- project {Part} (Sales);\n");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const Snapshot next = live.server->versions().Current();
+  ASSERT_EQ(next.version, 2u);
+  ASSERT_EQ(next.db->size(), 4u);  // Tags twice, Sales, Parts
+
+  // Every table the program did not write is the parent's storage, by
+  // address; the one it rewrote is not.
+  std::set<const core::Table*> next_tables;
+  for (const core::Table& t : next.db->tables()) next_tables.insert(&t);
+  for (const core::Table& t : parent.db->tables()) {
+    const bool written = t.name() == core::Symbol::Name("Sales");
+    EXPECT_NE(next_tables.contains(&t), written) << t.name().ToString();
+  }
+  // The snapshot pinned before the commit reads exactly what it did.
+  EXPECT_EQ(io::SerializeDatabase(*parent.db), parent_bytes);
+}
+
+TEST(ServerSharingTest, SessionsRacingOnAFreshVersionAgreeOnTheFingerprint) {
+  LiveServer live;
+  // The commit stores a freshly built Sales whose row-attribute memo
+  // nothing has filled yet; the racing lookups below fill it.
+  Client writer = live.Connect();
+  ASSERT_TRUE(writer.Run("Sales <- rename Qty / Sold (Sales);").ok());
+  const Snapshot fresh = live.server->versions().Current();
+  ASSERT_EQ(fresh.version, 2u);
+  const uint64_t misses_before = live.server->cache().misses();
+
+  constexpr int kSessions = 4;
+  std::vector<Client> clients;
+  for (int i = 0; i < kSessions; ++i) {
+    clients.push_back(live.Connect());
+    ASSERT_TRUE(clients.back().Negotiate().ok());
+  }
+  std::atomic<int> ready{0};
+  std::vector<std::thread> sessions;
+  for (Client& client : clients) {
+    sessions.emplace_back([&ready, &client] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kSessions) {
+        std::this_thread::yield();
+      }
+      auto run = client.Run("R <- project {Part} (Sales);", /*commit=*/false);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->executed_version, 2u);
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+
+  // Four lookups, one compile: every session keyed the program by the same
+  // fingerprint (racing compiles of one key count as hits).
+  EXPECT_EQ(live.server->cache().misses() - misses_before, 1u);
+  EXPECT_EQ(SchemaFingerprint(*fresh.db),
+            SchemaFingerprint(Db("!Sales | !Part  | !Region | !Qty\n"
+                                 "#      | nuts   | east    | 50\n"
+                                 "#      | bolts  | west    | 60\n")));
+}
+
 // -- Snapshot isolation under concurrency ------------------------------------
 
 TEST(ServerTest, ReadersSeeCommitsAtomicallyWhileWritersRun) {
@@ -747,6 +826,26 @@ TEST(ServerTest, ShutdownRefusesNewSessionsAndDrains) {
 
   live.server->Shutdown();
   EXPECT_EQ(live.server->Stats().sessions_active, 0u);
+}
+
+TEST(ServerTest, IdleShutdownDoesNotWaitOutTheDrainingPoll) {
+  // Directly, and as the daemon does it (RequestShutdown from the signal
+  // watcher, Shutdown a moment later, once the accept loop is draining).
+  for (bool requested_first : {false, true}) {
+    for (int cycle = 0; cycle < 20; ++cycle) {
+      SCOPED_TRACE(std::string(requested_first ? "requested, " : "direct, ") +
+                   "cycle " + std::to_string(cycle));
+      const auto t0 = std::chrono::steady_clock::now();
+      LiveServer live;
+      if (requested_first) {
+        live.server->RequestShutdown();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      live.server->Shutdown();
+      EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                std::chrono::milliseconds(25));
+    }
+  }
 }
 
 TEST(ServerTest, ClientShutdownRequestDrainsTheServer) {
