@@ -10,6 +10,8 @@
 #   5. Restart with admission control (TABULAR_ADMIT_MAX_ROWS): the same
 #      restructuring program — statically unbounded through MERGE — must
 #      now be refused before execution, while a bounded program still runs.
+#   6. A malformed admission limit, numeric flag or TABULAR_THREADS is
+#      refused at startup, naming the flag or variable.
 #
 # Usage: scripts/server_smoke.sh <build-dir>
 
@@ -123,8 +125,29 @@ if "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet \
 fi
 grep -q "max-est-rows" "$WORK/bad2.err" \
   || fail "bad --max-est-rows did not name the flag: $(cat "$WORK/bad2.err")"
+# The same holds for every numeric flag and variable. `timeout` keeps a
+# regression (a daemon that accepts the value and serves) from hanging.
+if timeout 10 "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet \
+    --metrics-port 70000 2> "$WORK/bad3.err"; then
+  fail "tabulard started with --metrics-port 70000"
+fi
+grep -q "metrics-port" "$WORK/bad3.err" \
+  || fail "bad --metrics-port did not name the flag: $(cat "$WORK/bad3.err")"
+# A session limit of 0 would refuse every connection.
+if timeout 10 "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet \
+    --max-sessions 0 2> "$WORK/bad5.err"; then
+  fail "tabulard started with --max-sessions 0"
+fi
+grep -q "max-sessions" "$WORK/bad5.err" \
+  || fail "bad --max-sessions did not name the flag: $(cat "$WORK/bad5.err")"
+if TABULAR_THREADS=4x timeout 10 \
+    "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet 2> "$WORK/bad4.err"; then
+  fail "tabulard started with TABULAR_THREADS=4x"
+fi
+grep -q "TABULAR_THREADS" "$WORK/bad4.err" \
+  || fail "bad TABULAR_THREADS did not name the variable: $(cat "$WORK/bad4.err")"
 
 rm -rf "$WORK"
 echo "server_smoke: OK: server output byte-identical to single-shot golden," \
      "graceful shutdown exited 0, admission rejected the unbounded program," \
-     "misconfigured limits refused at startup"
+     "malformed limits, flags and variables refused at startup"

@@ -13,7 +13,10 @@ using core::Symbol;
 using core::SymbolSet;
 using lang::Assignment;
 using lang::DropStatement;
+using lang::ExpectedArgCount;
+using lang::ExpectedParamCount;
 using lang::OpKind;
+using lang::OpKindToString;
 using lang::Param;
 using lang::ParamItem;
 using lang::Program;
@@ -21,67 +24,6 @@ using lang::Statement;
 using lang::WhileLoop;
 
 namespace {
-
-/// Surface keyword per operation. Mirrors lang::OpKindToString; duplicated
-/// here so the analysis library depends only on lang *headers* (keeping the
-/// layering acyclic: core ← analysis ← lang).
-const char* OpWord(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion: return "union";
-    case OpKind::kDifference: return "difference";
-    case OpKind::kIntersection: return "intersection";
-    case OpKind::kProduct: return "product";
-    case OpKind::kRename: return "rename";
-    case OpKind::kProject: return "project";
-    case OpKind::kSelect: return "select";
-    case OpKind::kSelectConst: return "selectconst";
-    case OpKind::kGroup: return "group";
-    case OpKind::kMerge: return "merge";
-    case OpKind::kSplit: return "split";
-    case OpKind::kCollapse: return "collapse";
-    case OpKind::kTranspose: return "transpose";
-    case OpKind::kSwitch: return "switch";
-    case OpKind::kCleanUp: return "cleanup";
-    case OpKind::kPurge: return "purge";
-    case OpKind::kTupleNew: return "tuplenew";
-    case OpKind::kSetNew: return "setnew";
-  }
-  return "?";
-}
-
-/// Interpreter arity contracts (mirrors lang/interpreter.cc, which checks
-/// them before enumerating argument combinations).
-size_t ExpectedParamCount(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion:
-    case OpKind::kDifference:
-    case OpKind::kIntersection:
-    case OpKind::kProduct:
-    case OpKind::kTranspose:
-      return 0;
-    case OpKind::kProject:
-    case OpKind::kSplit:
-    case OpKind::kCollapse:
-    case OpKind::kSwitch:
-    case OpKind::kTupleNew:
-    case OpKind::kSetNew:
-      return 1;
-    default:
-      return 2;
-  }
-}
-
-size_t ExpectedArgCount(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion:
-    case OpKind::kDifference:
-    case OpKind::kIntersection:
-    case OpKind::kProduct:
-      return 2;
-    default:
-      return 1;
-  }
-}
 
 /// Abstract interpretation of a parameter, relative to the wildcard ids the
 /// statement's argument positions bind.
@@ -188,16 +130,27 @@ std::string SetToString(const SymbolSet& s) {
 // The forward dataflow pass.
 // ---------------------------------------------------------------------------
 
+/// How the while fixpoint runs a loop body (see analyzer.h).
+enum class BodyRun {
+  kMaySkip,   ///< each statement possibly not executed (diagnostic pass)
+  kComplete,  ///< one complete run of the body (cost, while-unroll)
+};
+
 class Analyzer {
  public:
-  Analyzer(const AnalyzerOptions& options, std::vector<Diagnostic>* sink,
-           std::vector<AbstractDatabase>* top_level_states = nullptr)
-      : options_(options), sink_(sink), states_(top_level_states) {}
+  /// Diagnostics go to `sink`; a null sink analyzes states only.
+  Analyzer(const AnalyzerOptions& options, std::vector<Diagnostic>* sink)
+      : options_(options), sink_(sink) {}
 
+  /// Runs `statements` over `*state`. `before`, if non-null, receives the
+  /// state before each statement.
   void AnalyzeStatements(const std::vector<Statement>& statements,
                          const std::string& path_prefix,
-                         AbstractDatabase* state, bool certain_context) {
+                         AbstractDatabase* state, bool certain_context,
+                         std::vector<AbstractDatabase>* before = nullptr) {
+    if (before != nullptr) before->reserve(statements.size());
     for (size_t i = 0; i < statements.size(); ++i) {
+      if (before != nullptr) before->push_back(*state);
       const std::string path = path_prefix + std::to_string(i + 1);
       const Statement& s = statements[i];
       if (const auto* a = std::get_if<Assignment>(&s.node)) {
@@ -205,19 +158,43 @@ class Analyzer {
       } else if (const auto* d = std::get_if<DropStatement>(&s.node)) {
         AnalyzeDrop(*d, state);
       } else {
-        AnalyzeWhile(std::get<WhileLoop>(s.node), path, state,
-                     certain_context);
-      }
-      if (states_ != nullptr && path_prefix.empty()) {
-        states_->push_back(*state);
+        AnalyzeWhile(std::get<WhileLoop>(s.node), path, state);
       }
     }
+  }
+
+  /// The one while fixpoint: joins the states after 0, 1, 2, ... runs of
+  /// `body` from `entry`. Joins *widen* the cardinality intervals, so row
+  /// counts that grow (or shrink) every iteration jump to an interval end
+  /// instead of creeping toward the iteration cap; past the cap the state
+  /// widens to ⊤. Diagnostics are suppressed while iterating.
+  AbstractDatabase LoopInvariant(const std::vector<Statement>& body,
+                                 const std::string& path,
+                                 AbstractDatabase entry, BodyRun run) {
+    std::vector<Diagnostic>* const sink = sink_;
+    sink_ = nullptr;
+    AbstractDatabase inv = std::move(entry);
+    for (size_t iter = 0;; ++iter) {
+      if (iter >= options_.max_fixpoint_iterations) {
+        inv.WildcardWrite();  // widen to ⊤
+        break;
+      }
+      AbstractDatabase body_out = inv;
+      AnalyzeStatements(body, path + ".", &body_out,
+                        /*certain_context=*/run == BodyRun::kComplete);
+      AbstractDatabase joined = inv;
+      joined.Join(body_out, /*widen=*/true);
+      if (joined == inv) break;
+      inv = std::move(joined);
+    }
+    sink_ = sink;
+    return inv;
   }
 
  private:
   void Emit(Severity severity, const std::string& path, std::string message,
             std::string note = "") {
-    if (!emit_) return;
+    if (sink_ == nullptr) return;
     sink_->push_back(Diagnostic{severity, path, std::move(message),
                                 std::move(note)});
   }
@@ -247,7 +224,7 @@ class Analyzer {
   }
 
   void AnalyzeWhile(const WhileLoop& loop, const std::string& path,
-                    AbstractDatabase* state, bool certain_context) {
+                    AbstractDatabase* state) {
     SymbolSet guard;
     bool guard_universal = false;
     CollectParamNames(loop.condition, &guard, &guard_universal);
@@ -286,33 +263,15 @@ class Analyzer {
       }
     }
 
-    // Fixpoint over the join of all iteration counts (0, 1, 2, ...);
-    // diagnostics are suppressed while iterating, then one labeled pass
-    // runs over the stabilized state. Joins *widen* the cardinality
-    // intervals, so row counts that grow (or shrink) every iteration jump
-    // to an interval end instead of creeping toward the iteration cap.
-    AbstractDatabase loop_state = *state;
-    const bool saved_emit = emit_;
-    emit_ = false;
-    for (size_t iter = 0;; ++iter) {
-      if (iter >= options_.max_fixpoint_iterations) {
-        loop_state.WildcardWrite();  // widen to ⊤
-        break;
-      }
-      AbstractDatabase body_out = loop_state;
-      AnalyzeStatements(loop.body, path + ".", &body_out, false);
-      AbstractDatabase joined = loop_state;
-      joined.Join(body_out, /*widen=*/true);
-      if (joined == loop_state) break;
-      loop_state = std::move(joined);
-    }
-    emit_ = saved_emit;
-    if (emit_) {
+    // The loop state joins every iteration count (0, 1, 2, ...); then one
+    // labeled pass runs the body over it for diagnostics.
+    AbstractDatabase loop_state =
+        LoopInvariant(loop.body, path, *state, BodyRun::kMaySkip);
+    if (sink_ != nullptr) {
       AbstractDatabase scratch = loop_state;
       AnalyzeStatements(loop.body, path + ".", &scratch,
                         /*certain_context=*/false);
     }
-    (void)certain_context;
     // Exit refinement: the loop only exits when no guard table has data
     // rows, so every surviving carrier of a literal guard name is provably
     // empty (and can carry no row attributes).
@@ -358,14 +317,14 @@ class Analyzer {
     // argument combinations, so they are definite regardless of state.
     if (stmt.params.size() != ExpectedParamCount(stmt.op)) {
       Emit(Severity::kError, path,
-           std::string(OpWord(stmt.op)) + " expects " +
+           std::string(OpKindToString(stmt.op)) + " expects " +
                std::to_string(ExpectedParamCount(stmt.op)) +
                " parameter(s), got " + std::to_string(stmt.params.size()));
       return;
     }
     if (stmt.args.size() != ExpectedArgCount(stmt.op)) {
       Emit(Severity::kError, path,
-           std::string(OpWord(stmt.op)) + " expects " +
+           std::string(OpKindToString(stmt.op)) + " expects " +
                std::to_string(ExpectedArgCount(stmt.op)) +
                " argument(s), got " + std::to_string(stmt.args.size()));
       return;
@@ -604,7 +563,7 @@ class Analyzer {
         break;
       case OpKind::kSelect:
       case OpKind::kSelectConst: {
-        const char* word = OpWord(stmt.op);
+        const char* word = OpKindToString(stmt.op);
         CheckSingleton(path, word, "attribute", params[0], definite);
         if (stmt.op == OpKind::kSelect) {
           CheckSingleton(path, word, "attribute", params[1], definite);
@@ -634,7 +593,7 @@ class Analyzer {
         break;
       case OpKind::kTupleNew:
       case OpKind::kSetNew:
-        CheckSingleton(path, OpWord(stmt.op), "attribute", params[0],
+        CheckSingleton(path, OpKindToString(stmt.op), "attribute", params[0],
                        definite);
         break;
       case OpKind::kProduct: {
@@ -665,7 +624,7 @@ class Analyzer {
         }
         if (disjoint) {
           Emit(Severity::kWarning, path,
-               std::string(OpWord(stmt.op)) + " operands " +
+               std::string(OpKindToString(stmt.op)) + " operands " +
                    Quoted(*arg_names[0]) + " and " + Quoted(*arg_names[1]) +
                    " have provably disjoint column-attribute sets",
                "columns of " + Quoted(*arg_names[0]) + ": " +
@@ -1093,8 +1052,6 @@ class Analyzer {
 
   const AnalyzerOptions options_;
   std::vector<Diagnostic>* sink_;
-  std::vector<AbstractDatabase>* states_ = nullptr;
-  bool emit_ = true;
 };
 
 /// Dead-store warnings over the top-level statement list.
@@ -1148,11 +1105,9 @@ AnalysisResult AnalyzeProgram(const Program& program, AbstractDatabase initial,
                               const AnalyzerOptions& options) {
   AnalysisResult result;
   result.final_state = std::move(initial);
-  Analyzer analyzer(options, &result.diagnostics,
-                    options.record_top_level_states ? &result.top_level_states
-                                                    : nullptr);
+  Analyzer analyzer(options, &result.diagnostics);
   analyzer.AnalyzeStatements(program.statements, "", &result.final_state,
-                             /*certain_context=*/true);
+                             /*certain_context=*/true, &result.before);
   if (options.check_dead_stores) {
     DiagnoseDeadStores(program, &result.diagnostics);
   }
@@ -1164,6 +1119,22 @@ AnalysisResult AnalyzeProgram(const Program& program, AbstractDatabase initial,
                      return PathLess(a.path, b.path);
                    });
   return result;
+}
+
+AnalysisResult AnalyzeCompleteRun(const std::vector<Statement>& statements,
+                                  AbstractDatabase entry) {
+  AnalysisResult result;
+  result.final_state = std::move(entry);
+  Analyzer(AnalyzerOptions{}, /*sink=*/nullptr)
+      .AnalyzeStatements(statements, "", &result.final_state,
+                         /*certain_context=*/true, &result.before);
+  return result;
+}
+
+AbstractDatabase LoopInvariant(const std::vector<Statement>& body,
+                               const AbstractDatabase& entry) {
+  return Analyzer(AnalyzerOptions{}, /*sink=*/nullptr)
+      .LoopInvariant(body, "", entry, BodyRun::kComplete);
 }
 
 // -- Guard facts -------------------------------------------------------------
@@ -1227,28 +1198,25 @@ void CollectStatementReads(const Statement& s, SymbolSet* out,
   // Drop reads nothing.
 }
 
-namespace {
-
-void CollectAllStatementNames(const Statement& s, SymbolSet* out) {
-  bool universal = false;
-  CollectStatementReads(s, out, &universal);
+void CollectStatementNames(const Statement& s, SymbolSet* out,
+                           bool* universal) {
+  CollectStatementReads(s, out, universal);
   if (const auto* a = std::get_if<Assignment>(&s.node)) {
-    CollectParamNames(a->target, out, &universal);
+    CollectParamNames(a->target, out, universal);
   } else if (const auto* d = std::get_if<DropStatement>(&s.node)) {
-    CollectParamNames(d->target, out, &universal);
+    CollectParamNames(d->target, out, universal);
   } else if (const auto* w = std::get_if<WhileLoop>(&s.node)) {
     for (const Statement& inner : w->body) {
-      CollectAllStatementNames(inner, out);
+      CollectStatementNames(inner, out, universal);
     }
   }
 }
 
-}  // namespace
-
 SymbolSet AllTableNames(const Program& program) {
   SymbolSet out;
+  bool universal = false;
   for (const Statement& s : program.statements) {
-    CollectAllStatementNames(s, &out);
+    CollectStatementNames(s, &out, &universal);
   }
   return out;
 }

@@ -45,19 +45,22 @@ struct AnalyzerOptions {
   bool check_dead_stores = true;
   /// Iteration cap for the while-body fixpoint before widening to ⊤.
   size_t max_fixpoint_iterations = 64;
-  /// Record the abstract state after every *top-level* statement in
-  /// `AnalysisResult::top_level_states` (the translation validator's sync
-  /// points).
-  bool record_top_level_states = false;
 };
 
+/// The analyzer's states along one run of a statement list.
 struct AnalysisResult {
   std::vector<Diagnostic> diagnostics;
+  /// `before[i]`: the abstract database before top-level statement i.
+  std::vector<AbstractDatabase> before;
   /// The abstract database after the whole program.
   AbstractDatabase final_state;
-  /// With `record_top_level_states`: state after top-level statement i
-  /// (so `top_level_states[k-1]` is the state "after k statements").
-  std::vector<AbstractDatabase> top_level_states;
+
+  /// The state after the first `k` top-level statements: the entry state
+  /// for k = 0, `final_state` for k = before.size() (the validator's sync
+  /// points).
+  const AbstractDatabase& After(size_t k) const {
+    return k < before.size() ? before[k] : final_state;
+  }
 };
 
 /// Analyzes `program` starting from `initial` (use
@@ -66,6 +69,30 @@ struct AnalysisResult {
 AnalysisResult AnalyzeProgram(const lang::Program& program,
                               AbstractDatabase initial,
                               const AnalyzerOptions& options = {});
+
+// -- State entry points (shared with the cost model and lang::Optimizer) ----
+//
+// A while body is analyzed in one of two modes, and the two must stay
+// apart. The diagnostic pass treats each body statement as possibly not
+// executed, so its loop exit state covers runs that stop anywhere. Cost and
+// while-unrolling ask about one *complete* run of the body, where a
+// statement that drains a table certainly does so before the next one
+// reads it. The modes differ only in that flag; the widening fixpoint
+// itself is the same code.
+
+/// One complete run of `statements` from `entry`: every statement
+/// executes, as at the top level of a program (nested while bodies keep
+/// the diagnostic mode). Returns the state before each statement and at
+/// exit, without diagnostics. The top-level states of `AnalyzeProgram`
+/// are exactly this run of the program's statements.
+AnalysisResult AnalyzeCompleteRun(
+    const std::vector<lang::Statement>& statements, AbstractDatabase entry);
+
+/// The invariant at the head of a while loop with body `body` entered in
+/// `entry`: the widening fixpoint of the join over 0, 1, 2, ... complete
+/// body runs, ⊤ past the iteration cap. Carries no guard refinement.
+AbstractDatabase LoopInvariant(const std::vector<lang::Statement>& body,
+                               const AbstractDatabase& entry);
 
 // -- Guard facts (shared with lang::Optimizer) ------------------------------
 
@@ -95,6 +122,11 @@ void CollectParamNames(const lang::Param& p, core::SymbolSet* out,
 /// The table names a statement reads (argument positions and while
 /// conditions only — attribute parameters never name tables).
 void CollectStatementReads(const lang::Statement& s, core::SymbolSet* out,
+                           bool* universal);
+
+/// Every table name a statement mentions (reads, writes, drops, and the
+/// same inside while bodies); sets `*universal` on wildcard or pair use.
+void CollectStatementNames(const lang::Statement& s, core::SymbolSet* out,
                            bool* universal);
 
 /// Every table name the program mentions (reads, writes, drops).

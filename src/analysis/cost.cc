@@ -67,29 +67,6 @@ namespace {
 
 constexpr uint64_t kInf = CardInterval::kInf;
 
-/// Iteration cap for the loop-invariant fixpoint, mirroring
-/// `AnalyzerOptions::max_fixpoint_iterations`'s default.
-constexpr size_t kMaxFixpointIterations = 64;
-
-/// Post-state of one statement under the analyzer's own transfer
-/// (including the while-fixpoint and its guard exit refinement).
-AbstractDatabase PostState(const Statement& s, const AbstractDatabase& in) {
-  Program one;
-  one.statements.push_back(s);
-  AnalyzerOptions options;
-  options.check_dead_stores = false;
-  return AnalyzeProgram(one, in, options).final_state;
-}
-
-AbstractDatabase PostStateOfBody(const std::vector<Statement>& body,
-                                 const AbstractDatabase& in) {
-  Program p;
-  p.statements = body;
-  AnalyzerOptions options;
-  options.check_dead_stores = false;
-  return AnalyzeProgram(p, in, options).final_state;
-}
-
 /// Upper bound on the total data rows of one pool: carriers × per-table
 /// rows.
 uint64_t PoolRows(const TableShape& s) {
@@ -114,18 +91,18 @@ class Walker {
  public:
   explicit Walker(CostReport* report) : report_(report) {}
 
-  /// Costs `stmts` from `state`; paths are `prefix`-qualified. Returns the
-  /// post-state of the sequence.
-  AbstractDatabase Walk(const std::vector<Statement>& stmts,
-                        AbstractDatabase state, const std::string& prefix,
-                        bool unbounded_loop) {
+  /// Costs `stmts` over `run`, the analyzer's states along one run of
+  /// them; paths are `prefix`-qualified.
+  void Walk(const std::vector<Statement>& stmts, const AnalysisResult& run,
+            const std::string& prefix, bool unbounded_loop) {
     for (size_t i = 0; i < stmts.size(); ++i) {
       const std::string path =
           prefix.empty() ? std::to_string(i + 1)
                          : prefix + "." + std::to_string(i + 1);
       const Statement& s = stmts[i];
       if (const auto* a = std::get_if<Assignment>(&s.node)) {
-        state = CostAssignment(*a, s, state, path, unbounded_loop);
+        CostAssignment(*a, run.before[i], run.After(i + 1), path,
+                       unbounded_loop);
       } else if (std::get_if<DropStatement>(&s.node)) {
         // A drop is a metadata update: constant work, nothing produced.
         StatementCost c;
@@ -134,21 +111,17 @@ class Walker {
         c.in_unbounded_loop = unbounded_loop;
         c.work = unbounded_loop ? kInf : 1;
         Push(std::move(c));
-        state = PostState(s, state);
       } else {
-        state = CostWhile(std::get<WhileLoop>(s.node), s, state, path,
-                          unbounded_loop);
+        CostWhile(std::get<WhileLoop>(s.node), run.before[i], path,
+                  unbounded_loop);
       }
     }
-    return state;
   }
 
  private:
-  AbstractDatabase CostAssignment(const Assignment& a, const Statement& s,
-                                  const AbstractDatabase& state,
-                                  const std::string& path,
-                                  bool unbounded_loop) {
-    AbstractDatabase post = PostState(s, state);
+  void CostAssignment(const Assignment& a, const AbstractDatabase& state,
+                      const AbstractDatabase& post, const std::string& path,
+                      bool unbounded_loop) {
     StatementCost c;
     c.path = path;
     c.op = a.op;
@@ -177,43 +150,27 @@ class Walker {
                        CardInterval::SatAdd(
                            CardInterval::SatAdd(rows_in, c.out_rows), 1));
     Push(std::move(c));
-    return post;
   }
 
-  AbstractDatabase CostWhile(const WhileLoop& loop, const Statement& s,
-                             const AbstractDatabase& state,
-                             const std::string& path, bool unbounded_loop) {
+  /// Costs the body of a loop entered in `entry`. A dead body (guard
+  /// provably false at entry) runs zero times: no cost, no entries.
+  void CostWhile(const WhileLoop& loop, const AbstractDatabase& entry,
+                 const std::string& path, bool unbounded_loop) {
     SymbolSet guard;
     bool universal = false;
     CollectParamNames(loop.condition, &guard, &universal);
-    if (!GuardDefinitelyFalse(state, guard, universal)) {
-      // One abstract body pass separates "at most one iteration" (the
-      // guard provably fails afterwards) from an unbounded trip count.
-      const AbstractDatabase once = PostStateOfBody(loop.body, state);
-      if (GuardDefinitelyFalse(once, guard, universal)) {
-        Walk(loop.body, state, path, unbounded_loop);
-      } else {
-        // Cost the body against the widened loop invariant — the same
-        // iterate-and-join the analyzer's while-fixpoint performs.
-        AbstractDatabase inv = state;
-        bool stable = false;
-        for (size_t iter = 0; iter < kMaxFixpointIterations; ++iter) {
-          AbstractDatabase next = inv;
-          next.Join(PostStateOfBody(loop.body, inv), /*widen=*/true);
-          if (next == inv) {
-            stable = true;
-            break;
-          }
-          inv = std::move(next);
-        }
-        if (!stable) inv.WildcardWrite();
-        Walk(loop.body, std::move(inv), path, /*unbounded_loop=*/true);
-      }
+    if (GuardDefinitelyFalse(entry, guard, universal)) return;
+    // One complete body run separates "at most one iteration" (the guard
+    // provably fails afterwards) from an unbounded trip count.
+    const AnalysisResult once = AnalyzeCompleteRun(loop.body, entry);
+    if (GuardDefinitelyFalse(once.final_state, guard, universal)) {
+      Walk(loop.body, once, path, unbounded_loop);
+      return;
     }
-    // Dead body (guard provably false at entry): zero iterations, zero
-    // cost, no entries. The loop's post-state always comes from the
-    // analyzer so its guard exit refinement applies.
-    return PostState(s, state);
+    // Otherwise cost one body run from the widened loop invariant.
+    Walk(loop.body,
+         AnalyzeCompleteRun(loop.body, LoopInvariant(loop.body, entry)), path,
+         /*unbounded_loop=*/true);
   }
 
   void Push(StatementCost cost) {
@@ -240,10 +197,14 @@ class Walker {
 
 CostReport EstimateCost(const Program& program,
                         const AbstractDatabase& initial) {
+  return EstimateCost(program, AnalyzeCompleteRun(program.statements, initial));
+}
+
+CostReport EstimateCost(const Program& program,
+                        const AnalysisResult& analysis) {
   CostReport report;
-  Walker walker(&report);
-  walker.Walk(program.statements, initial, /*prefix=*/"",
-              /*unbounded_loop=*/false);
+  Walker(&report).Walk(program.statements, analysis, /*prefix=*/"",
+                       /*unbounded_loop=*/false);
   return report;
 }
 

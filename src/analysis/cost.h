@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "analysis/shape.h"
 #include "lang/ast.h"
 
@@ -12,9 +13,8 @@ namespace tabular::analysis {
 
 /// Static cost/resource-bound analysis over the abstract-shape domain.
 ///
-/// `EstimateCost` walks a program under the same transfer functions the
-/// analyzer uses (shapes, cardinality intervals, while-fixpoints with
-/// widening) and derives, per statement:
+/// `EstimateCost` folds over the analyzer's states (no transfer function
+/// or fixpoint of its own) and derives, per statement:
 ///
 ///   * `out_rows`  — an upper bound on the total data rows the written
 ///     pool can hold after the statement (carriers × per-table rows);
@@ -24,14 +24,16 @@ namespace tabular::analysis {
 ///     × (rows in + rows out + 1), saturating.
 ///
 /// `CardInterval::kInf` in any component means *statically unbounded*.
-/// Loop bodies are costed against the widened loop invariant; a loop whose
-/// guard cannot be proven to fail within one abstract iteration has an
-/// unbounded trip count, so every statement in its body reports unbounded
-/// `work` (its row/byte bounds can still be finite — a loop can spin
-/// forever over a bounded table). The program-level verdict is
-/// `unbounded()` when any statement has an unbounded row, byte, or work
-/// bound; `unbounded_path` then names the first offender, which is what
-/// tabulard's admission rejection reports to the client.
+/// A loop body is costed over one complete run of it
+/// (`AnalyzeCompleteRun`): from the entry state when the guard provably
+/// fails after that run, else from the widened loop invariant
+/// (`LoopInvariant`). In the second case the trip count is unbounded, so
+/// every statement in the body reports unbounded `work` (its row/byte
+/// bounds can still be finite — a loop can spin forever over a bounded
+/// table). The program-level verdict is `unbounded()` when any statement
+/// has an unbounded row, byte, or work bound; `unbounded_path` then names
+/// the first offender, which is what tabulard's admission rejection
+/// reports to the client.
 
 /// Bytes per stored cell: one 32-bit interned-symbol handle (the columnar
 /// chunk layout of src/columnar).
@@ -93,6 +95,11 @@ struct CostReport {
 /// so admission-grade estimates need a concrete or empty initial state).
 CostReport EstimateCost(const lang::Program& program,
                         const AbstractDatabase& initial);
+
+/// Costs `program` over `analysis`, the analyzer's states of its top-level
+/// statements (`AnalyzeProgram` or `AnalyzeCompleteRun` of it).
+CostReport EstimateCost(const lang::Program& program,
+                        const AnalysisResult& analysis);
 
 /// Plan-selection order: lexicographic on (total_work, peak_bytes,
 /// statement count). Returns <0 when `a` is strictly cheaper, 0 on ties,

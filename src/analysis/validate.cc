@@ -5,8 +5,6 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/analyzer.h"
-
 namespace tabular::analysis {
 
 using core::Symbol;
@@ -165,30 +163,10 @@ bool Refines(const AbstractDatabase& r, const AbstractDatabase& o,
 
 // -- The validator -----------------------------------------------------------
 
-namespace {
-
-/// Abstract states of `program` at its sync points: states[k] is the state
-/// after the first k top-level statements (states[0] = initial).
-std::vector<AbstractDatabase> SyncStates(const Program& program,
-                                         const AbstractDatabase& initial) {
-  AnalyzerOptions options;
-  options.check_dead_stores = false;
-  options.record_top_level_states = true;
-  AnalysisResult result = AnalyzeProgram(program, initial, options);
-  std::vector<AbstractDatabase> states;
-  states.reserve(result.top_level_states.size() + 1);
-  states.push_back(initial);
-  for (AbstractDatabase& s : result.top_level_states) {
-    states.push_back(std::move(s));
-  }
-  return states;
-}
-
-}  // namespace
-
 ValidationReport ValidateTranslation(const Program& original,
+                                     const AnalysisResult& original_states,
                                      const Program& rewritten,
-                                     const AbstractDatabase& initial) {
+                                     const AnalysisResult& rewritten_states) {
   const std::vector<Statement>& orig = original.statements;
   const std::vector<Statement>& rewr = rewritten.statements;
 
@@ -207,9 +185,6 @@ ValidationReport ValidateTranslation(const Program& original,
     ++suffix;
   }
 
-  std::vector<AbstractDatabase> orig_states = SyncStates(original, initial);
-  std::vector<AbstractDatabase> rewr_states = SyncStates(rewritten, initial);
-
   ValidationReport report;
   // Prefix sync points (identical statements from identical entry states
   // give identical abstract states, but checking is cheap and robust),
@@ -223,7 +198,8 @@ ValidationReport ValidateTranslation(const Program& original,
                       : k <= prefix     ? k
                                         : orig.size() - (rewr.size() - k);
     std::string why;
-    if (!Refines(rewr_states[k], orig_states[ok], &why)) {
+    if (!Refines(rewritten_states.After(k), original_states.After(ok),
+                 &why)) {
       report.certified = false;
       report.divergent_path =
           k == rewr.size() ? "exit" : std::to_string(k);

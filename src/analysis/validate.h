@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "analysis/analyzer.h"
 #include "analysis/shape.h"
 #include "lang/ast.h"
 
@@ -10,10 +11,11 @@ namespace tabular::analysis {
 
 /// Translation validation for program rewrites (the optimizer's safety
 /// net). Instead of trusting each rewrite rule's hand-written soundness
-/// argument, both the original and the rewritten program are run through
-/// the abstract interpreter from a common initial `AbstractDatabase`, and
-/// the rewrite is certified only when the rewritten program's abstract
-/// state *refines* the original's at every synchronization point:
+/// argument, the validator compares the analyzer's state lists of the
+/// original and the rewritten program, both run from a common initial
+/// `AbstractDatabase`, and certifies the rewrite only when the rewritten
+/// program's abstract state *refines* the original's at every
+/// synchronization point:
 ///
 ///   * at program exit, and
 ///   * after every top-level statement outside the rewritten region
@@ -48,11 +50,13 @@ bool Refines(const TableShape& r, const TableShape& o, std::string* why);
 bool Refines(const AbstractDatabase& r, const AbstractDatabase& o,
              std::string* why);
 
-/// Runs both programs through the abstract interpreter from `initial` and
-/// checks refinement at every sync point (see file comment).
+/// Checks refinement at every sync point (see file comment) over the
+/// top-level states of both programs (`AnalyzeCompleteRun` or
+/// `AnalyzeProgram` of each, from one initial state).
 ValidationReport ValidateTranslation(const lang::Program& original,
+                                     const AnalysisResult& original_states,
                                      const lang::Program& rewritten,
-                                     const AbstractDatabase& initial);
+                                     const AnalysisResult& rewritten_states);
 
 /// Structural equality of statements (used to find the untouched
 /// prefix/suffix; implemented here so the analysis library depends only on

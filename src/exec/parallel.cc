@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/flags.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,12 +25,18 @@ namespace {
 /// single-job pool.
 thread_local bool t_in_parallel_region = false;
 
+/// Resolved once per process (see `Threads`), so a malformed
+/// `TABULAR_THREADS` warns once.
 size_t DefaultThreads() {
-  if (const char* env = std::getenv("TABULAR_THREADS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<size_t>(v);
+  size_t n = 0;
+  if (const char* env = std::getenv("TABULAR_THREADS");
+      env != nullptr && *env != '\0' && !ParseThreadCount(env, &n)) {
+    std::fprintf(stderr,
+                 "tabular: warning: TABULAR_THREADS '%s' is not a whole "
+                 "positive number; using the hardware concurrency\n",
+                 env);
   }
+  if (n > 0) return n;
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
@@ -132,6 +141,13 @@ class ThreadPool {
 };
 
 }  // namespace
+
+bool ParseThreadCount(const char* text, size_t* out) {
+  uint64_t v = 0;
+  if (!ParseLimit(text, &v) || v == 0) return false;
+  *out = static_cast<size_t>(v);
+  return true;
+}
 
 size_t Threads() {
   size_t n = g_thread_override.load(std::memory_order_relaxed);

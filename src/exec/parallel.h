@@ -10,8 +10,14 @@ namespace tabular::exec {
 /// Number of threads parallel kernels may use (including the calling
 /// thread). Resolution order: the last `SetThreads` value, else the
 /// `TABULAR_THREADS` environment variable, else
-/// `std::thread::hardware_concurrency()`; always ≥ 1.
+/// `std::thread::hardware_concurrency()`; always ≥ 1. A set, non-empty
+/// `TABULAR_THREADS` that `ParseThreadCount` rejects is ignored with one
+/// warning on stderr.
 size_t Threads();
+
+/// Parses a thread count the way `TABULAR_THREADS` is read: a whole
+/// positive decimal number, digits only ("4x", "0", "-2" and "many" fail).
+bool ParseThreadCount(const char* text, size_t* out);
 
 /// Overrides the thread count for subsequent kernels; 0 restores the
 /// default resolution. Not meant to be called concurrently with running

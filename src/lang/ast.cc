@@ -4,30 +4,6 @@
 
 namespace tabular::lang {
 
-const char* OpKindToString(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion: return "union";
-    case OpKind::kDifference: return "difference";
-    case OpKind::kIntersection: return "intersection";
-    case OpKind::kProduct: return "product";
-    case OpKind::kRename: return "rename";
-    case OpKind::kProject: return "project";
-    case OpKind::kSelect: return "select";
-    case OpKind::kSelectConst: return "selectconst";
-    case OpKind::kGroup: return "group";
-    case OpKind::kMerge: return "merge";
-    case OpKind::kSplit: return "split";
-    case OpKind::kCollapse: return "collapse";
-    case OpKind::kTranspose: return "transpose";
-    case OpKind::kSwitch: return "switch";
-    case OpKind::kCleanUp: return "cleanup";
-    case OpKind::kPurge: return "purge";
-    case OpKind::kTupleNew: return "tuplenew";
-    case OpKind::kSetNew: return "setnew";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string Set(const Param& p) { return "{" + p.ToString() + "}"; }

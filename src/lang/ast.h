@@ -1,6 +1,7 @@
 #ifndef TABULAR_LANG_AST_H_
 #define TABULAR_LANG_AST_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <variant>
@@ -33,8 +34,68 @@ enum class OpKind {
   kSetNew,
 };
 
+// The helpers below are inline so the analysis library, which links
+// against lang's headers only, shares them with the interpreter.
+
 /// Lower-case surface keyword for `op` ("group", "cleanup", ...).
-const char* OpKindToString(OpKind op);
+constexpr const char* OpKindToString(OpKind op) {
+  switch (op) {
+    case OpKind::kUnion: return "union";
+    case OpKind::kDifference: return "difference";
+    case OpKind::kIntersection: return "intersection";
+    case OpKind::kProduct: return "product";
+    case OpKind::kRename: return "rename";
+    case OpKind::kProject: return "project";
+    case OpKind::kSelect: return "select";
+    case OpKind::kSelectConst: return "selectconst";
+    case OpKind::kGroup: return "group";
+    case OpKind::kMerge: return "merge";
+    case OpKind::kSplit: return "split";
+    case OpKind::kCollapse: return "collapse";
+    case OpKind::kTranspose: return "transpose";
+    case OpKind::kSwitch: return "switch";
+    case OpKind::kCleanUp: return "cleanup";
+    case OpKind::kPurge: return "purge";
+    case OpKind::kTupleNew: return "tuplenew";
+    case OpKind::kSetNew: return "setnew";
+  }
+  return "?";
+}
+
+/// Arity contracts: the number of parameters and of argument tables `op`
+/// takes. The interpreter checks them before enumerating argument
+/// combinations; the analyzer reports violations as errors.
+constexpr size_t ExpectedParamCount(OpKind op) {
+  switch (op) {
+    case OpKind::kUnion:
+    case OpKind::kDifference:
+    case OpKind::kIntersection:
+    case OpKind::kProduct:
+    case OpKind::kTranspose:
+      return 0;
+    case OpKind::kProject:
+    case OpKind::kSplit:
+    case OpKind::kCollapse:
+    case OpKind::kSwitch:
+    case OpKind::kTupleNew:
+    case OpKind::kSetNew:
+      return 1;
+    default:
+      return 2;
+  }
+}
+
+constexpr size_t ExpectedArgCount(OpKind op) {
+  switch (op) {
+    case OpKind::kUnion:
+    case OpKind::kDifference:
+    case OpKind::kIntersection:
+    case OpKind::kProduct:
+      return 2;
+    default:
+      return 1;
+  }
+}
 
 /// `T <- (operation)(parameter list)(argument list)` (paper §3).
 ///

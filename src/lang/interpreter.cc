@@ -84,26 +84,6 @@ struct Staged {
   Table table;
 };
 
-size_t ExpectedParamCount(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion:
-    case OpKind::kDifference:
-    case OpKind::kIntersection:
-    case OpKind::kProduct:
-    case OpKind::kTranspose:
-      return 0;
-    case OpKind::kProject:
-    case OpKind::kSplit:
-    case OpKind::kCollapse:
-    case OpKind::kSwitch:
-    case OpKind::kTupleNew:
-    case OpKind::kSetNew:
-      return 1;
-    default:
-      return 2;
-  }
-}
-
 /// `[<path>] <statement text>`; while loops render condensed (their
 /// multi-line body is the node's children).
 std::string StatementLabel(const Statement& s, const std::string& path) {
@@ -120,18 +100,6 @@ Status AnnotateStatement(const Status& st, const std::string& path) {
   return Status(st.code(), "statement " + path + ": " + st.message());
 }
 
-size_t ExpectedArgCount(OpKind op) {
-  switch (op) {
-    case OpKind::kUnion:
-    case OpKind::kDifference:
-    case OpKind::kIntersection:
-    case OpKind::kProduct:
-      return 2;
-    default:
-      return 1;
-  }
-}
-
 }  // namespace
 
 Status Interpreter::Run(const Program& program, TabularDatabase* db) {
@@ -142,16 +110,22 @@ Status Interpreter::Run(const Program& program, TabularDatabase* db) {
   profile_root_ = obs::ProfileNode{};
   profile_root_.label = "program";
 
+  // One abstract image of the database and one analysis serve both the
+  // error gate and the rewrite engine.
+  analysis::AbstractDatabase initial;
+  if (options_.analyze_first || options_.optimize) {
+    initial = analysis::AbstractDatabase::FromDatabase(*db);
+  }
+  std::optional<analysis::AnalysisResult> analyzed;
   if (options_.analyze_first) {
-    analysis::AnalysisResult analyzed = analysis::AnalyzeProgram(
-        program, analysis::AbstractDatabase::FromDatabase(*db));
+    analyzed = analysis::AnalyzeProgram(program, initial);
     if (options_.on_diagnostic) {
-      for (const analysis::Diagnostic& d : analyzed.diagnostics) {
+      for (const analysis::Diagnostic& d : analyzed->diagnostics) {
         options_.on_diagnostic(d);
       }
     }
     if (const analysis::Diagnostic* err =
-            analysis::FirstError(analyzed.diagnostics)) {
+            analysis::FirstError(analyzed->diagnostics)) {
       // Rejected before any mutation: the database is untouched.
       return Status::InvalidArgument("statement " + err->path + ": " +
                                      err->message);
@@ -167,9 +141,11 @@ Status Interpreter::Run(const Program& program, TabularDatabase* db) {
   if (options_.optimize) {
     OptimizerOptions opt;
     opt.validate_rewrites = options_.validate_rewrites;
-    optimized =
-        OptimizeProgram(program, analysis::AbstractDatabase::FromDatabase(*db),
-                        opt, &optimize_stats_);
+    optimized = analyzed ? OptimizeProgram(program, initial,
+                                           std::move(*analyzed), opt,
+                                           &optimize_stats_)
+                         : OptimizeProgram(program, initial, opt,
+                                           &optimize_stats_);
     to_run = &optimized;
   }
 

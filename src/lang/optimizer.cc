@@ -1,6 +1,7 @@
 #include "lang/optimizer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,6 +23,7 @@ using core::SymbolSet;
 // The name-flow collectors live in the analysis library now (the static
 // analyzer's dead-store diagnostics share them).
 using analysis::CollectParamNames;
+using analysis::CollectStatementNames;
 using analysis::CollectStatementReads;
 
 Program EliminateDeadStores(const Program& program,
@@ -43,20 +45,6 @@ bool IsTranslatorScratchName(Symbol name) {
 
 namespace {
 
-/// All names a statement references (reads, writes, drops).
-void CollectAllNames(const Statement& s, SymbolSet* out, bool* universal) {
-  CollectStatementReads(s, out, universal);
-  if (const auto* a = std::get_if<Assignment>(&s.node)) {
-    CollectParamNames(a->target, out, universal);
-  } else if (const auto* d = std::get_if<DropStatement>(&s.node)) {
-    CollectParamNames(d->target, out, universal);
-  } else if (const auto* w = std::get_if<WhileLoop>(&s.node)) {
-    for (const Statement& inner : w->body) {
-      CollectAllNames(inner, out, universal);
-    }
-  }
-}
-
 /// True if the list's first reference to `name` fully (re)writes it — the
 /// condition under which a drop at the end of a while body is safe across
 /// iterations.
@@ -64,7 +52,7 @@ bool FirstReferenceIsWrite(const std::vector<Statement>& list, Symbol name) {
   for (const Statement& s : list) {
     SymbolSet names;
     bool universal = false;
-    CollectAllNames(s, &names, &universal);
+    CollectStatementNames(s, &names, &universal);
     if (universal) return false;
     if (!names.contains(name)) continue;
     const auto* a = std::get_if<Assignment>(&s.node);
@@ -92,7 +80,7 @@ bool InsertDropsInList(std::vector<Statement>* list,
   for (size_t i = 0; i < list->size(); ++i) {
     SymbolSet names;
     bool universal = false;
-    CollectAllNames((*list)[i], &names, &universal);
+    CollectStatementNames((*list)[i], &names, &universal);
     if (universal) return false;
     for (Symbol nm : names) refs[nm].push_back(i);
   }
@@ -517,14 +505,9 @@ std::optional<Candidate> MatchWhileUnroll(const std::vector<Statement>& ss,
   CollectParamNames(w->condition, &guard, &universal);
   if (universal || guard.empty()) return std::nullopt;
   if (!analysis::GuardCertainlyTrue(before, guard)) return std::nullopt;
-  Program body;
-  body.statements = w->body;
-  analysis::AnalyzerOptions opts;
-  opts.check_dead_stores = false;
-  analysis::AnalysisResult one_pass =
-      analysis::AnalyzeProgram(body, before, opts);
-  if (!analysis::GuardDefinitelyFalse(one_pass.final_state, guard,
-                                      /*guard_universal=*/false)) {
+  if (!analysis::GuardDefinitelyFalse(
+          analysis::AnalyzeCompleteRun(w->body, before).final_state, guard,
+          /*guard_universal=*/false)) {
     return std::nullopt;
   }
   return Candidate{"while-unroll", i, 1, w->body};
@@ -695,8 +678,8 @@ std::optional<Candidate> MatchFilterHoist(const std::vector<Statement>& ss,
   }
   SymbolSet heavy_names, filter_names;
   bool universal = false;
-  CollectAllNames(ss[i], &heavy_names, &universal);
-  CollectAllNames(ss[i + 1], &filter_names, &universal);
+  CollectStatementNames(ss[i], &heavy_names, &universal);
+  CollectStatementNames(ss[i + 1], &filter_names, &universal);
   if (universal) return std::nullopt;
   for (Symbol nm : filter_names) {
     if (heavy_names.contains(nm)) return std::nullopt;
@@ -741,23 +724,6 @@ std::vector<Candidate> FindCandidates(
   return out;
 }
 
-/// Abstract state *before* each top-level statement (index 0 = initial).
-std::vector<AbstractDatabase> StatesBefore(const Program& program,
-                                           const AbstractDatabase& initial) {
-  analysis::AnalyzerOptions opts;
-  opts.check_dead_stores = false;
-  opts.record_top_level_states = true;
-  analysis::AnalysisResult result =
-      analysis::AnalyzeProgram(program, initial, opts);
-  std::vector<AbstractDatabase> before;
-  before.reserve(program.statements.size());
-  before.push_back(initial);
-  for (size_t i = 0; i + 1 < result.top_level_states.size(); ++i) {
-    before.push_back(std::move(result.top_level_states[i]));
-  }
-  return before;
-}
-
 }  // namespace
 
 std::string RenderRewriteJson(const RewriteRecord& r, std::string_view file) {
@@ -793,6 +759,10 @@ std::string RenderRewriteJson(const RewriteRecord& r, std::string_view file) {
 
 namespace {
 
+/// Upper bound on the candidates one `OptimizeProgram` call processes
+/// (applied, rejected or cost-rejected): a divergence guard.
+constexpr size_t kMaxRewrites = 256;
+
 /// `current` with the candidate's window replaced.
 Program ApplyCandidate(const Program& current, const Candidate& cand) {
   Program rewritten;
@@ -821,10 +791,44 @@ RewriteRecord MakeRecord(const Candidate& cand, const Program& current) {
   return record;
 }
 
+/// A plan with its one analysis: the analyzer's states of its top-level
+/// statements feed rule matching, validation and (under `cost_rank`) the
+/// static cost.
+struct Plan {
+  Program program;
+  analysis::AnalysisResult states;
+  analysis::CostReport cost;
+};
+
+Plan MakePlan(Program program, analysis::AnalysisResult states,
+              bool cost_rank) {
+  Plan plan{std::move(program), std::move(states), {}};
+  if (cost_rank) plan.cost = analysis::EstimateCost(plan.program, plan.states);
+  return plan;
+}
+
+Plan AnalyzePlan(Program program, const AbstractDatabase& initial,
+                 bool cost_rank) {
+  analysis::AnalysisResult states =
+      analysis::AnalyzeCompleteRun(program.statements, initial);
+  return MakePlan(std::move(program), std::move(states), cost_rank);
+}
+
 }  // namespace
 
 Program OptimizeProgram(const Program& program,
                         const AbstractDatabase& initial,
+                        const OptimizerOptions& options,
+                        OptimizeStats* stats) {
+  return OptimizeProgram(
+      program, initial,
+      analysis::AnalyzeCompleteRun(program.statements, initial), options,
+      stats);
+}
+
+Program OptimizeProgram(const Program& program,
+                        const AbstractDatabase& initial,
+                        analysis::AnalysisResult analyzed,
                         const OptimizerOptions& options,
                         OptimizeStats* stats) {
   static obs::Counter& applied_counter =
@@ -834,7 +838,8 @@ Program OptimizeProgram(const Program& program,
   static obs::Counter& cost_rejected_counter =
       obs::GetCounter("optimizer.rewrites_cost_rejected");
 
-  Program current = program;
+  assert(analyzed.before.size() == program.statements.size());
+  Plan current = MakePlan(program, std::move(analyzed), options.cost_rank);
   std::set<std::string> rejected;
   // Cost-rejections live in their own set, scoped to the current plan:
   // losing on cost is relative to the plan at hand, so any applied rewrite
@@ -843,75 +848,67 @@ Program OptimizeProgram(const Program& program,
   // unsound rewrite does not become sound when its surroundings change
   // (the fingerprint covers the window text, which may be untouched).
   std::set<std::string> cost_rejected;
-  analysis::CostReport current_cost;
-  if (options.cost_rank) current_cost = analysis::EstimateCost(current, initial);
 
   // Each round gathers every candidate of the current plan, orders it
   // (static plan cost under `cost_rank`, statement order otherwise), and
   // applies the first survivor; rejected candidates are fingerprinted so
-  // they are proposed at most once per window text and plan. `attempts`
-  // preserves the option's contract: at most max_rewrites processed
-  // candidates.
+  // they are proposed at most once per window text and plan. Every plan —
+  // the input and each scored candidate — is analyzed once, and the
+  // winner's analysis carries into the next round.
   size_t attempts = 0;
-  while (attempts < options.max_rewrites) {
-    std::vector<AbstractDatabase> before = StatesBefore(current, initial);
+  while (attempts < kMaxRewrites) {
     std::set<std::string> skip = rejected;
     skip.insert(cost_rejected.begin(), cost_rejected.end());
-    std::vector<Candidate> cands =
-        FindCandidates(current.statements, before, skip);
+    std::vector<Candidate> cands = FindCandidates(
+        current.program.statements, current.states.before, skip);
     if (cands.empty()) break;
+    if (!options.cost_rank) cands.resize(1);  // first fires, wins
 
     struct Scored {
       Candidate cand;
-      Program rewritten;
-      analysis::CostReport cost;
+      Plan plan;
     };
     std::vector<Scored> scored;
-    scored.reserve(options.cost_rank ? cands.size() : 1);
+    scored.reserve(cands.size());
+    for (Candidate& c : cands) {
+      Plan plan = AnalyzePlan(ApplyCandidate(current.program, c), initial,
+                              options.cost_rank);
+      scored.push_back(Scored{std::move(c), std::move(plan)});
+    }
     if (options.cost_rank) {
-      for (Candidate& c : cands) {
-        Scored s;
-        s.rewritten = ApplyCandidate(current, c);
-        s.cost = analysis::EstimateCost(s.rewritten, initial);
-        s.cand = std::move(c);
-        scored.push_back(std::move(s));
-      }
       // Cheapest plan first; ties keep statement order (determinism).
       std::stable_sort(scored.begin(), scored.end(),
                        [](const Scored& a, const Scored& b) {
-                         return analysis::CompareCost(a.cost, b.cost) < 0;
+                         return analysis::CompareCost(a.plan.cost,
+                                                      b.plan.cost) < 0;
                        });
-    } else {
-      Scored s;
-      s.rewritten = ApplyCandidate(current, cands.front());
-      s.cand = std::move(cands.front());
-      scored.push_back(std::move(s));
     }
 
-    bool applied = false;
     for (Scored& s : scored) {
-      if (attempts >= options.max_rewrites) break;
+      if (attempts >= kMaxRewrites) break;
       ++attempts;
-      RewriteRecord record = MakeRecord(s.cand, current);
+      RewriteRecord record = MakeRecord(s.cand, current.program);
+      const std::string fingerprint =
+          Fingerprint(s.cand, current.program.statements);
       if (options.cost_rank) {
         record.cost_ranked = true;
-        record.cost_before = current_cost.total_work;
-        record.cost_after = s.cost.total_work;
-        if (analysis::CompareCost(s.cost, current_cost) > 0) {
+        record.cost_before = current.cost.total_work;
+        record.cost_after = s.plan.cost.total_work;
+        if (analysis::CompareCost(s.plan.cost, current.cost) > 0) {
           // Strictly more expensive plan: lost on cost alone, never sent
           // to the validator.
           cost_rejected_counter.Add(1);
           if (stats != nullptr) ++stats->cost_rejected;
           record.cost_rejected = true;
-          cost_rejected.insert(Fingerprint(s.cand, current.statements));
+          cost_rejected.insert(fingerprint);
           if (stats != nullptr) stats->records.push_back(std::move(record));
           continue;
         }
       }
       bool keep = true;
       if (options.validate_rewrites) {
-        analysis::ValidationReport report =
-            analysis::ValidateTranslation(current, s.rewritten, initial);
+        analysis::ValidationReport report = analysis::ValidateTranslation(
+            current.program, current.states, s.plan.program, s.plan.states);
         keep = report.certified;
         record.certified = report.certified;
         record.reason = report.reason;
@@ -923,25 +920,22 @@ Program OptimizeProgram(const Program& program,
         applied_counter.Add(1);
         if (stats != nullptr) ++stats->applied;
         if (stats != nullptr) stats->records.push_back(std::move(record));
-        current = std::move(s.rewritten);
-        if (options.cost_rank) current_cost = std::move(s.cost);
+        current = std::move(s.plan);
         // The plan changed: cost comparisons against the old plan are
         // stale, so its cost-rejections are open for reconsideration.
         cost_rejected.clear();
-        applied = true;
         break;
       }
       rejected_counter.Add(1);
       if (stats != nullptr) ++stats->rejected;
-      rejected.insert(Fingerprint(s.cand, current.statements));
+      rejected.insert(fingerprint);
       if (stats != nullptr) stats->records.push_back(std::move(record));
     }
     // When nothing applied, every processed candidate was fingerprinted
     // into one of the two sets and neither is cleared without an apply,
     // so the next round's gather strictly shrinks and the loop converges.
-    (void)applied;
   }
-  return current;
+  return std::move(current.program);
 }
 
 }  // namespace tabular::lang

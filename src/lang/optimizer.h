@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "analysis/shape.h"
 #include "lang/ast.h"
 
@@ -98,8 +99,6 @@ struct OptimizerOptions {
   /// and counted in the `optimizer.rewrites_rejected` metric. Turning this
   /// off keeps every candidate on the rules' own soundness arguments.
   bool validate_rewrites = true;
-  /// Upper bound on accepted-plus-rejected candidates, a divergence guard.
-  size_t max_rewrites = 256;
   /// Rank every candidate of a round by the static cost of the plan it
   /// produces (`analysis::EstimateCost`) and apply the cheapest one whose
   /// plan does not regress the current cost; candidates that would make
@@ -123,6 +122,16 @@ struct OptimizerOptions {
 Program OptimizeProgram(const Program& program,
                         const analysis::AbstractDatabase& initial,
                         const OptimizerOptions& options = {},
+                        OptimizeStats* stats = nullptr);
+
+/// The same, for a caller that has already analyzed `program` from
+/// `initial` (`analysis::AnalyzeProgram` with the default fixpoint cap, as
+/// the server's compile and the interpreter do to gate on errors): the
+/// engine starts from `analyzed` instead of analyzing its input again.
+Program OptimizeProgram(const Program& program,
+                        const analysis::AbstractDatabase& initial,
+                        analysis::AnalysisResult analyzed,
+                        const OptimizerOptions& options,
                         OptimizeStats* stats = nullptr);
 
 }  // namespace tabular::lang

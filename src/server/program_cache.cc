@@ -127,10 +127,12 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
   }
 
   if (options_.optimize) {
+    // The optimizer starts from this analysis instead of repeating it.
     lang::OptimizerOptions opt;
     opt.validate_rewrites = options_.validate_rewrites;
-    compiled->optimized = lang::OptimizeProgram(
-        compiled->parsed, coarse, opt, &compiled->optimize_stats);
+    compiled->optimized =
+        lang::OptimizeProgram(compiled->parsed, coarse, std::move(analyzed),
+                              opt, &compiled->optimize_stats);
   }
 
   // Cost the final plan against the *exact* image of the compiling

@@ -340,6 +340,42 @@ TEST(AnalysisWhileTest, DeepNestedWhilePathsRenderAndRoundTrip) {
       << st.ToString();
 }
 
+// -- State entry points ------------------------------------------------------
+
+TEST(AnalysisStatesTest, ProgramStatesAreOneCompleteRun) {
+  auto program = lang::ParseProgram(
+      "T <- transpose (Sales);\n"
+      "while T do { T <- difference (T, T); }\n"
+      "drop Sales;\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const AbstractDatabase initial = StateFor(kSalesFlat);
+  const AnalysisResult analyzed = AnalyzeProgram(*program, initial);
+  const AnalysisResult run = AnalyzeCompleteRun(program->statements, initial);
+  ASSERT_EQ(analyzed.before.size(), 3u);
+  EXPECT_TRUE(analyzed.before == run.before);
+  EXPECT_EQ(analyzed.final_state, run.final_state);
+  EXPECT_TRUE(run.diagnostics.empty());
+  // The validator's sync points: entry, after each statement, exit.
+  EXPECT_EQ(analyzed.After(0), initial);
+  EXPECT_TRUE(analyzed.After(1).CertainlyExists(N("T")));
+  EXPECT_TRUE(analyzed.After(2).ShapeOf(N("T")).row_card.DefinitelyZero());
+  EXPECT_EQ(&analyzed.After(3), &analyzed.final_state);
+  EXPECT_TRUE(analyzed.final_state.DefinitelyAbsent(N("Sales")));
+}
+
+TEST(AnalysisStatesTest, LoopInvariantWidensOverCompleteRuns) {
+  // Every complete run doubles Sales: the invariant keeps the lower row
+  // bound of the entry and widens the upper one to ∞.
+  auto program = lang::ParseProgram("Sales <- union (Sales, Sales);");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const AbstractDatabase inv =
+      LoopInvariant(program->statements, StateFor(kSalesFlat));
+  const TableShape sales = inv.ShapeOf(N("Sales"));
+  EXPECT_EQ(sales.row_card, CardInterval::Range(2, CardInterval::kInf));
+  EXPECT_EQ(sales.cols, Cols({"Part", "Region", "Sold"}));
+  EXPECT_TRUE(sales.certain);
+}
+
 // -- Name-flow facts ---------------------------------------------------------
 
 TEST(AnalysisFactsTest, AllTableNamesWalksEveryPosition) {

@@ -38,6 +38,17 @@ TEST(ParallelTest, ScopedThreadsOverridesAndRestores) {
   EXPECT_EQ(Threads(), base);
 }
 
+TEST(ParallelTest, ThreadCountParsesOnlyWholePositiveNumbers) {
+  size_t n = 0;
+  EXPECT_TRUE(ParseThreadCount("4", &n));
+  EXPECT_EQ(n, 4u);
+  for (const char* bad : {"4x", "0", "-2", "many", "", " 4", "+4", "4 "}) {
+    size_t out = 7;
+    EXPECT_FALSE(ParseThreadCount(bad, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, 7u) << "'" << bad << "'";
+  }
+}
+
 TEST(ParallelTest, ParallelForCoversRangeExactlyOnce) {
   ScopedThreads st(4);
   const size_t n = 100001;

@@ -1,0 +1,406 @@
+// Behaviour pins for the static stack (analyzer, cost model, translation
+// validator, rewrite engine) on generated and example programs.
+//
+//   * A seeded generator builds 1,000 programs over a Sales + Tags grid —
+//     nested while loops, drops, the self-wildcard transpose, and loop
+//     bodies that read a table they just wrote — and renders, per program,
+//     the cost report, the analyzer's final state and diagnostics, and the
+//     rewrite engine's plan and records (cost-ranked and greedy). FNV-1a
+//     digests of 125 programs each pin the whole rendering.
+//   * Handing the rewrite engine a pre-computed analysis of its input
+//     yields the same plans and records as letting it analyze the input.
+//   * The loop-mode pin tells the two loop-body modes apart: the
+//     diagnostic pass treats a body statement as possibly not executed,
+//     cost asks about one complete run of the body.
+//   * The loop-example goldens pin the cost entries of the shipped while
+//     examples against examples/sales.tdb.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+#include "analysis/analyzer.h"
+#include "analysis/cost.h"
+#include "analysis/diagnostics.h"
+#include "analysis/shape.h"
+#include "io/grid_format.h"
+#include "lang/optimizer.h"
+#include "lang/parser.h"
+
+namespace tabular::analysis {
+namespace {
+
+using core::Symbol;
+
+// The flat Sales table of Figure 1 (two data rows) plus a two-row Tags
+// table, so binary operators see both same-scheme and disjoint operands.
+constexpr std::string_view kGrid =
+    "!Sales | !Part  | !Region | !Sold\n"
+    "#      | nuts   | east    | 50\n"
+    "#      | bolts  | west    | 60\n"
+    "\n"
+    "!Tags | !Tag\n"
+    "#     | hot\n"
+    "#     | cold\n";
+
+constexpr std::string_view kSalesFlat =
+    "!Sales | !Part  | !Region | !Sold\n"
+    "#      | nuts   | east    | 50\n"
+    "#      | bolts  | west    | 60\n";
+
+AbstractDatabase StateFor(std::string_view grid) {
+  auto db = io::ParseDatabase(grid);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return AbstractDatabase::FromDatabase(*db);
+}
+
+/// Deterministic LCG so failures reproduce; no global RNG state.
+class Lcg {
+ public:
+  explicit Lcg(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+    return state_ >> 33;
+  }
+  size_t Below(size_t n) { return static_cast<size_t>(Next() % n); }
+  bool OneIn(size_t n) { return Below(n) == 0; }
+
+ private:
+  uint64_t state_;
+};
+
+/// Random well-formed program text over the names and attributes of
+/// `kGrid` (plus scratch names and attributes no table carries).
+class ProgramGenerator {
+ public:
+  explicit ProgramGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::string Program() {
+    std::string out;
+    const size_t n = 1 + rng_.Below(6);
+    for (size_t i = 0; i < n; ++i) out += Statement(0);
+    return out;
+  }
+
+ private:
+  template <size_t N>
+  const char* Pick(const char* const (&pool)[N]) {
+    return pool[rng_.Below(N)];
+  }
+  std::string Table() {
+    static constexpr const char* kTables[] = {"Sales", "Tags", "A", "B",
+                                              "W"};
+    return Pick(kTables);
+  }
+  std::string Attr() {
+    static constexpr const char* kAttrs[] = {"Part", "Region", "Sold", "Tag",
+                                             "Qty"};
+    return Pick(kAttrs);
+  }
+  std::string AttrSet() {
+    std::string a = Attr();
+    std::string b = Attr();
+    return a == b || rng_.OneIn(2) ? "{" + a + "}" : "{" + a + ", " + b + "}";
+  }
+  std::string Value() {
+    static constexpr const char* kValues[] = {"'nuts'", "'east'", "'hot'",
+                                              "'50'"};
+    return Pick(kValues);
+  }
+
+  /// One assignment `target <- op (...)` reading `src`.
+  std::string Assign(const std::string& target, const std::string& src) {
+    const std::string head = target + " <- ";
+    const std::string arg = " (" + src + ");\n";
+    switch (rng_.Below(18)) {
+      case 0: return head + "transpose" + arg;
+      case 1: return head + "rename " + Attr() + " / " + Attr() + arg;
+      case 2: return head + "project " + AttrSet() + arg;
+      case 3: return head + "select " + Attr() + " = " + Attr() + arg;
+      case 4: return head + "selectconst " + Attr() + " = " + Value() + arg;
+      case 5: return head + "group by {" + Attr() + "} on " + AttrSet() + arg;
+      case 6: return head + "merge on " + AttrSet() + " by {" + Attr() + "}" +
+                     arg;
+      case 7: return head + "split on {" + Attr() + "}" + arg;
+      case 8: return head + "collapse by {" + Attr() + "}" + arg;
+      case 9: return head + "cleanup by " + AttrSet() + " on {_}" + arg;
+      case 10: return head + "purge on " + AttrSet() + " by {_}" + arg;
+      case 11: return head + "tuplenew Id" + arg;
+      case 12: return head + "setnew Id" + arg;
+      case 13: return head + "switch " + Value() + arg;
+      case 14: return head + "union (" + src + ", " + Table() + ");\n";
+      case 15: return head + "difference (" + src + ", " + Table() + ");\n";
+      case 16: return head + "intersection (" + src + ", " + Table() + ");\n";
+      default: return head + "product (" + src + ", " + Table() + ");\n";
+    }
+  }
+
+  std::string Statement(int depth) {
+    const std::string t = Table();
+    switch (rng_.Below(depth < 2 ? 13 : 11)) {
+      case 0:
+      case 1:
+        return Assign(Table(), Table());
+      case 2:  // fusable projections, or a hoistable filter after a group
+        return rng_.OneIn(2)
+                   ? t + " <- project " + AttrSet() + " (Sales);\n" + t +
+                         " <- project " + AttrSet() + " (" + t + ");\n"
+                   : t + " <- group by {Region} on {Sold} (Sales);\n" +
+                         Table() + " <- selectconst Tag = 'hot' (Tags);\n";
+      case 3:
+        return "drop " + t + ";\n";
+      case 4:
+        return "*1 <- transpose (*1);\n";
+      case 5:  // rewrite-engine fodder: a transpose involution
+        return t + " <- transpose (" + t + ");\n" + t + " <- transpose (" +
+               t + ");\n";
+      case 6:  // identity select, or a superset project (after a switch,
+               // over unknown columns: the validator must veto it)
+        if (rng_.OneIn(2)) return t + " <- select Part = Part (" + t + ");\n";
+        return (rng_.OneIn(3) ? t + " <- switch 'nuts' (" + t + ");\n" : "") +
+               t + " <- project {Part, Region, Sold, Tag} (" + t + ");\n";
+      case 7: {  // product followed by a filter the pushdown rules target;
+                 // pushing it onto Tags loses when the source is drained
+        const std::string src = Table();
+        return (rng_.OneIn(3) ? src + " <- difference (" + src + ", " + src +
+                                    ");\n"
+                              : "") +
+               t + " <- product (" + src + ", Tags);\n" + t +
+               (rng_.OneIn(2) ? " <- select " + Attr() + " = " + Attr()
+                              : " <- project " + AttrSet()) +
+               " (" + t + ");\n";
+      }
+      case 8:  // write then drop, and a self-difference drain
+        return rng_.OneIn(2) ? Assign(t, Table()) + "drop " + t + ";\n"
+                             : t + " <- difference (" + t + ", " + t +
+                                   ");\n";
+      case 9:  // a statement reading the table the previous one wrote
+        return Assign(t, Table()) + Assign(Table(), t);
+      default:
+        return While(depth);
+    }
+  }
+
+  std::string While(int depth) {
+    const std::string guard = Table();
+    std::string body;
+    if (rng_.OneIn(2)) {
+      // Read-after-write inside the body.
+      const std::string scratch = Table();
+      body += Assign(scratch, Table()) + Assign(Table(), scratch);
+    }
+    const size_t n = 1 + rng_.Below(2);
+    for (size_t i = 0; i < n; ++i) body += Statement(depth + 1);
+    switch (rng_.Below(3)) {
+      case 0:  // drains the guard: at most a bounded trip count
+        body += guard + " <- difference (" + guard + ", " + guard + ");\n";
+        break;
+      case 1:
+        body += "drop " + guard + ";\n";
+        break;
+      default:
+        break;  // may spin: the guard is left to the other statements
+    }
+    return "while " + guard + " do {\n" + body + "}\n";
+  }
+
+  Lcg rng_;
+};
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// FNV-1a over `text`, continuing from `h`.
+uint64_t Fnv1a(std::string_view text, uint64_t h = kFnvBasis) {
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string RenderCost(const CostReport& r) {
+  std::ostringstream out;
+  for (const StatementCost& c : r.statements) {
+    out << c.path << " " << (c.is_drop ? "drop" : lang::OpKindToString(c.op))
+        << (c.in_unbounded_loop ? " loop=unbounded" : "")
+        << " rows=" << FormatCost(c.out_rows)
+        << " cols=" << FormatCost(c.out_cols)
+        << " bytes=" << FormatCost(c.out_bytes)
+        << " work=" << FormatCost(c.work) << "\n";
+  }
+  out << "total work=" << FormatCost(r.total_work)
+      << " peak rows=" << FormatCost(r.peak_rows) << "@" << r.peak_rows_path
+      << " peak bytes=" << FormatCost(r.peak_bytes) << "@"
+      << r.peak_bytes_path << " unbounded@" << r.unbounded_path << "\n";
+  return out.str();
+}
+
+/// A rewrite engine result: the plan, then every record and the counts.
+std::string RenderPlan(const lang::Program& plan,
+                       const lang::OptimizeStats& stats) {
+  std::string out = plan.ToString() + "\n";
+  for (const lang::RewriteRecord& r : stats.records) {
+    out += lang::RenderRewriteJson(r, "gen") + "\n";
+  }
+  out += "applied=" + std::to_string(stats.applied) +
+         " rejected=" + std::to_string(stats.rejected) +
+         " cost_rejected=" + std::to_string(stats.cost_rejected) + "\n";
+  return out;
+}
+
+std::string RenderOptimize(const lang::Program& program,
+                           const AbstractDatabase& initial, bool cost_rank) {
+  lang::OptimizerOptions options;
+  options.cost_rank = cost_rank;
+  lang::OptimizeStats stats;
+  const lang::Program plan =
+      lang::OptimizeProgram(program, initial, options, &stats);
+  return RenderPlan(plan, stats);
+}
+
+/// Everything the static stack says about one program.
+std::string RenderStaticStack(const lang::Program& program,
+                              const AbstractDatabase& initial) {
+  std::string out = program.ToString() + "\n-- cost\n";
+  out += RenderCost(EstimateCost(program, initial));
+  const AnalysisResult analysis = AnalyzeProgram(program, initial);
+  out += "-- analysis\n" + analysis.final_state.ToString();
+  out += RenderAll(analysis.diagnostics, "gen");
+  out += "-- optimize (cost-ranked)\n" + RenderOptimize(program, initial, true);
+  out += "-- optimize (greedy)\n" + RenderOptimize(program, initial, false);
+  return out;
+}
+
+TEST(StaticStackDigestTest, GeneratedProgramsRenderUnchanged) {
+  // A change here means some cost entry, abstract state, diagnostic,
+  // plan or rewrite record moved; the failure names the program range.
+  constexpr uint64_t kExpected[] = {
+      0x61983309f0216d34ull, 0x3dbd267b60be464full, 0xe10866914e461378ull,
+      0x5727a4546ba62072ull, 0x76ca80cc9b9951e0ull, 0x432673bbd708b8ceull,
+      0x65111b7fcee7e6d6ull, 0x3662f9bfa31a8465ull,
+  };
+  constexpr size_t kChunk = 125;
+  const AbstractDatabase initial = StateFor(kGrid);
+  ProgramGenerator gen(0x5EED);
+  size_t loops = 0;
+  for (size_t chunk = 0; chunk < std::size(kExpected); ++chunk) {
+    uint64_t digest = kFnvBasis;
+    for (size_t i = 0; i < kChunk; ++i) {
+      const std::string text = gen.Program();
+      auto program = lang::ParseProgram(text);
+      ASSERT_TRUE(program.ok())
+          << program.status().ToString() << "\nin:\n" << text;
+      loops += text.find("while") != std::string::npos;
+      digest = Fnv1a(RenderStaticStack(*program, initial), digest);
+    }
+    EXPECT_EQ(digest, kExpected[chunk])
+        << "programs " << chunk * kChunk << ".." << (chunk + 1) * kChunk - 1
+        << ": 0x" << std::hex << digest;
+  }
+  // The generator must keep exercising while loops.
+  EXPECT_GT(loops, 300u) << loops;
+}
+
+TEST(StaticStackHandOffTest, PreAnalyzedInputOptimizesIdentically) {
+  // The server's compile and the interpreter hand the optimizer the
+  // analysis they ran to gate on errors; starting from it instead of
+  // analyzing the input afresh must not change any plan or record.
+  const AbstractDatabase initial = StateFor(kGrid);
+  ProgramGenerator gen(0x5EED);
+  for (size_t i = 0; i < 1000; ++i) {
+    const std::string text = gen.Program();
+    auto program = lang::ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    for (const bool cost_rank : {true, false}) {
+      lang::OptimizerOptions options;
+      options.cost_rank = cost_rank;
+      lang::OptimizeStats fresh_stats;
+      const lang::Program fresh =
+          lang::OptimizeProgram(*program, initial, options, &fresh_stats);
+      lang::OptimizeStats handed_stats;
+      const lang::Program handed = lang::OptimizeProgram(
+          *program, initial, AnalyzeProgram(*program, initial), options,
+          &handed_stats);
+      ASSERT_EQ(RenderPlan(fresh, fresh_stats),
+                RenderPlan(handed, handed_stats))
+          << "program " << i << (cost_rank ? " (cost-ranked)" : " (greedy)")
+          << ":\n" << text;
+    }
+  }
+}
+
+TEST(StaticStackLoopModeTest, CostRunsTheBodyOnceTheAnalyzerMayNot) {
+  auto program = lang::ParseProgram(
+      "Wide <- rename Qty / Sold (Sales);\n"
+      "while Wide do { Wide <- difference (Wide, Wide); "
+      "Out <- product (Wide, Sales); }\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const AbstractDatabase initial = StateFor(kSalesFlat);
+
+  // One complete run of the body drains Wide before the product, so the
+  // loop runs at most once and Out is provably empty.
+  const CostReport cost = EstimateCost(*program, initial);
+  const StatementCost* product = nullptr;
+  for (const StatementCost& c : cost.statements) {
+    if (c.path == "2.2") product = &c;
+  }
+  ASSERT_NE(product, nullptr);
+  EXPECT_EQ(product->out_rows, 0u);
+  EXPECT_FALSE(product->in_unbounded_loop);
+  EXPECT_FALSE(cost.unbounded());
+
+  // The diagnostic pass treats each body statement as possibly not
+  // executed: the product may read the undrained Wide.
+  const AnalysisResult analysis = AnalyzeProgram(*program, initial);
+  const TableShape* out = analysis.final_state.Find(Symbol::Name("Out"));
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->row_card, CardInterval::Range(0, 4));
+}
+
+std::string ReadSource(const std::string& relative) {
+  std::ifstream in(std::string(TABULAR_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(in.good()) << relative;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+CostReport CostOfExample(const std::string& name) {
+  auto db = io::LoadDatabaseFile(std::string(TABULAR_SOURCE_DIR) +
+                                 "/examples/sales.tdb");
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  auto program = lang::ParseProgram(ReadSource("examples/" + name));
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  return EstimateCost(*program, AbstractDatabase::FromDatabase(*db));
+}
+
+TEST(StaticStackLoopExampleTest, OptimizeUnrollCostEntries) {
+  // Unoptimized: the loop runs its body once (path 2.1).
+  const CostReport r = CostOfExample("optimize_unroll.ta");
+  EXPECT_EQ(RenderCost(r),
+            "1 rename rows=8 cols=3 bytes=96 work=17\n"
+            "2.1 difference rows=0 cols=3 bytes=0 work=68\n"
+            "3 project rows=0 cols=3 bytes=0 work=2\n"
+            "4 select rows=0 cols=3 bytes=0 work=2\n"
+            "total work=89 peak rows=8@1 peak bytes=96@1 unbounded@\n");
+  EXPECT_EQ(r.total_work, 89u);
+}
+
+TEST(StaticStackLoopExampleTest, WhileDrainCostEntries) {
+  const CostReport r = CostOfExample("while_drain.ta");
+  EXPECT_EQ(RenderCost(r),
+            "1 selectconst rows=8 cols=3 bytes=96 work=34\n"
+            "2 project rows=8 cols=3 bytes=96 work=34\n"
+            "3.1 difference rows=0 cols=3 bytes=0 work=68\n"
+            "4 cleanup rows=8 cols=3 bytes=96 work=170\n"
+            "total work=306 peak rows=8@1 peak bytes=96@1 unbounded@\n");
+  EXPECT_EQ(r.total_work, 306u);
+}
+
+}  // namespace
+}  // namespace tabular::analysis

@@ -51,7 +51,10 @@ lang::Program Parse(std::string_view src) {
 ValidationReport Validate(std::string_view original,
                           std::string_view rewritten,
                           const AbstractDatabase& initial) {
-  return ValidateTranslation(Parse(original), Parse(rewritten), initial);
+  const lang::Program o = Parse(original);
+  const lang::Program r = Parse(rewritten);
+  return ValidateTranslation(o, AnalyzeCompleteRun(o.statements, initial), r,
+                             AnalyzeCompleteRun(r.statements, initial));
 }
 
 // -- The refinement relation -------------------------------------------------

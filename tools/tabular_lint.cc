@@ -15,6 +15,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -23,6 +24,7 @@
 #include "analysis/shape.h"
 #include "core/database.h"
 #include "core/status.h"
+#include "exec/flags.h"
 #include "io/csv.h"
 #include "io/grid_format.h"
 #include "lang/ast.h"
@@ -63,6 +65,8 @@ options:
   --cost-budget-rows <n>   with --cost: warn when the peak row bound exceeds n
   --cost-budget-bytes <n>  with --cost: warn when the peak byte bound exceeds n
   --cost-budget-work <n>   with --cost: warn when total work bound exceeds n
+                           (n: a whole number, 0 = no budget; anything
+                           else exits 2)
   -h, --help         show this help
 )";
 
@@ -122,18 +126,18 @@ int main(int argc, char** argv) {
       optimize = true;
     } else if (arg == "--cost") {
       cost = true;
-    } else if (arg == "--cost-budget-rows") {
-      const char* value = need_value(i, "--cost-budget-rows");
+    } else if (arg == "--cost-budget-rows" || arg == "--cost-budget-bytes" ||
+               arg == "--cost-budget-work") {
+      const char* value = need_value(i, argv[i]);
       if (value == nullptr) return 2;
-      cost_budget_rows = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--cost-budget-bytes") {
-      const char* value = need_value(i, "--cost-budget-bytes");
-      if (value == nullptr) return 2;
-      cost_budget_bytes = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--cost-budget-work") {
-      const char* value = need_value(i, "--cost-budget-work");
-      if (value == nullptr) return 2;
-      cost_budget_work = std::strtoull(value, nullptr, 10);
+      uint64_t* budget = arg == "--cost-budget-rows"    ? &cost_budget_rows
+                         : arg == "--cost-budget-bytes" ? &cost_budget_bytes
+                                                        : &cost_budget_work;
+      if (!tabular::exec::ParseLimit(value, budget)) {
+        std::cerr << "tabular_lint: error: " << arg << " '" << value
+                  << "' is not a whole number\n";
+        return 2;
+      }
     } else if (arg == "--db") {
       const char* value = need_value(i, "--db");
       if (value == nullptr) return 2;
@@ -249,7 +253,8 @@ int main(int argc, char** argv) {
     tabular::lang::Program plan = *program;
     if (optimize) {
       tabular::lang::OptimizeStats stats;
-      plan = tabular::lang::OptimizeProgram(*program, initial, {}, &stats);
+      plan = tabular::lang::OptimizeProgram(*program, initial,
+                                            std::move(result), {}, &stats);
       rewrites_applied += stats.applied;
       rewrites_rejected += stats.rejected;
       for (const tabular::lang::RewriteRecord& r : stats.records) {

@@ -25,6 +25,8 @@
 
 #include "core/database.h"
 #include "core/status.h"
+#include "exec/flags.h"
+#include "exec/parallel.h"
 #include "io/grid_format.h"
 #include "server/server.h"
 
@@ -40,12 +42,13 @@ options:
   --cache-capacity <n> compiled-program cache entries (default 128)
   --no-optimize        skip the certified rewrite engine when compiling
   --drain-seconds <s>  graceful-shutdown drain deadline (default 5)
-  --max-sessions <n>   concurrent session limit (default 1024)
+  --max-sessions <n>   concurrent session limit, at least 1 (default 1024)
   --slow-ms <ms>       slow-query log threshold in milliseconds
                        (default 100, or TABULAR_SLOW_MS; negative disables;
                        drain with `tabular_cli slowlog`)
   --metrics-port <n>   serve Prometheus text format on plain-HTTP
-                       GET /metrics at this port (0 = ephemeral; default off)
+                       GET /metrics at this port (0 = ephemeral, -1 = off;
+                       default off)
   --max-est-rows <n>   admission control: reject programs whose static row
                        estimate exceeds n before executing them (default 0 =
                        off, or TABULAR_ADMIT_MAX_ROWS); statically unbounded
@@ -54,19 +57,44 @@ options:
                        (default 0 = off, or TABULAR_ADMIT_MAX_BYTES)
   --quiet              no startup banner
   -h, --help           show this help
+
+Numeric values must parse exactly: counts, limits and ports are whole
+numbers, seconds and milliseconds decimal numbers. A malformed value, or a
+TABULAR_THREADS that is not a whole positive number, exits 2 naming it.
 )";
 
-// Admission limits are safety rails: a value that does not parse exactly
-// as a non-negative decimal must fail loudly, not silently become 0 (= the
-// limit the operator thinks is in force is off).
-bool ParseLimit(const char* s, uint64_t* out) {
-  if (s == nullptr || *s < '0' || *s > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = v;
+using tabular::exec::ParseLimit;
+using tabular::exec::ParseNumber;
+
+/// A TCP port in [0, 65535], or -1 (off).
+bool ParsePort(const char* s, int* out) {
+  uint64_t v = 0;
+  if (std::strcmp(s, "-1") == 0) {
+    *out = -1;
+  } else if (ParseLimit(s, &v) && v <= 65535) {
+    *out = static_cast<int>(v);
+  } else {
+    return false;
+  }
   return true;
+}
+
+/// A slow-query threshold in milliseconds; negative disables the log.
+/// Values past ~30 years are refused (their microseconds overflow).
+bool ParseSlowMs(const char* s, uint64_t* micros) {
+  double ms = 0;
+  if (!ParseNumber(s, &ms) || ms > 1e12) return false;
+  *micros = ms < 0 ? tabular::obs::QueryLog::kDisabled
+                   : static_cast<uint64_t>(ms * 1000.0);
+  return true;
+}
+
+/// The startup error for a malformed flag or variable value; returns the
+/// exit code.
+int Malformed(const char* name, const char* value, const char* what) {
+  std::fprintf(stderr, "tabulard: error: %s '%s' is not %s\n", name, value,
+               what);
+  return 2;
 }
 
 // Signal handling: the handler only writes one byte to a self-pipe
@@ -91,34 +119,30 @@ int main(int argc, char** argv) {
   std::string listen = "127.0.0.1:0";
   bool quiet = false;
 
-  // TABULAR_SLOW_MS seeds the slow-query threshold; --slow-ms overrides it.
-  auto slow_ms_to_micros = [](double ms) {
-    return ms < 0 ? tabular::obs::QueryLog::kDisabled
-                  : static_cast<uint64_t>(ms * 1000.0);
-  };
+  // Environment variables seed the slow-query threshold and the admission
+  // limits; the flags override them. Kernels read TABULAR_THREADS
+  // themselves and would only warn about a malformed value, so a server
+  // refuses to start on one.
   if (const char* env = std::getenv("TABULAR_SLOW_MS");
-      env != nullptr && *env != '\0') {
-    options.slow_query_micros = slow_ms_to_micros(std::strtod(env, nullptr));
+      env != nullptr && *env != '\0' &&
+      !ParseSlowMs(env, &options.slow_query_micros)) {
+    return Malformed("TABULAR_SLOW_MS", env, "a number of milliseconds");
   }
-  // Same pattern for the admission limits: env seeds, flag overrides.
   if (const char* env = std::getenv("TABULAR_ADMIT_MAX_ROWS");
-      env != nullptr && *env != '\0') {
-    if (!ParseLimit(env, &options.max_est_rows)) {
-      std::fprintf(stderr,
-                   "tabulard: error: TABULAR_ADMIT_MAX_ROWS='%s' is not a "
-                   "row count\n",
-                   env);
-      return 2;
-    }
+      env != nullptr && *env != '\0' &&
+      !ParseLimit(env, &options.max_est_rows)) {
+    return Malformed("TABULAR_ADMIT_MAX_ROWS", env, "a row count");
   }
   if (const char* env = std::getenv("TABULAR_ADMIT_MAX_BYTES");
+      env != nullptr && *env != '\0' &&
+      !ParseLimit(env, &options.max_est_bytes)) {
+    return Malformed("TABULAR_ADMIT_MAX_BYTES", env, "a byte count");
+  }
+  if (const char* env = std::getenv("TABULAR_THREADS");
       env != nullptr && *env != '\0') {
-    if (!ParseLimit(env, &options.max_est_bytes)) {
-      std::fprintf(stderr,
-                   "tabulard: error: TABULAR_ADMIT_MAX_BYTES='%s' is not a "
-                   "byte count\n",
-                   env);
-      return 2;
+    size_t threads = 0;
+    if (!tabular::exec::ParseThreadCount(env, &threads)) {
+      return Malformed("TABULAR_THREADS", env, "a whole positive number");
     }
   }
 
@@ -150,46 +174,51 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-capacity") {
       const char* v = need_value(i, "--cache-capacity");
       if (v == nullptr) return 2;
-      options.cache.capacity = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      uint64_t n = 0;
+      if (!ParseLimit(v, &n)) {
+        return Malformed("--cache-capacity", v, "an entry count");
+      }
+      options.cache.capacity = n;
     } else if (arg == "--no-optimize") {
       options.cache.optimize = false;
     } else if (arg == "--drain-seconds") {
       const char* v = need_value(i, "--drain-seconds");
       if (v == nullptr) return 2;
-      options.drain_seconds = std::strtod(v, nullptr);
+      if (!ParseNumber(v, &options.drain_seconds) ||
+          options.drain_seconds < 0 || options.drain_seconds > 1e9) {
+        return Malformed("--drain-seconds", v, "a number of seconds");
+      }
     } else if (arg == "--max-sessions") {
       const char* v = need_value(i, "--max-sessions");
       if (v == nullptr) return 2;
-      options.max_sessions =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      uint64_t n = 0;
+      if (!ParseLimit(v, &n) || n == 0) {
+        return Malformed("--max-sessions", v, "a positive session count");
+      }
+      options.max_sessions = n;
     } else if (arg == "--slow-ms") {
       const char* v = need_value(i, "--slow-ms");
       if (v == nullptr) return 2;
-      options.slow_query_micros = slow_ms_to_micros(std::strtod(v, nullptr));
+      if (!ParseSlowMs(v, &options.slow_query_micros)) {
+        return Malformed("--slow-ms", v, "a number of milliseconds");
+      }
     } else if (arg == "--metrics-port") {
       const char* v = need_value(i, "--metrics-port");
       if (v == nullptr) return 2;
-      options.metrics_port =
-          static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!ParsePort(v, &options.metrics_port)) {
+        return Malformed("--metrics-port", v, "a port in [-1, 65535]");
+      }
     } else if (arg == "--max-est-rows") {
       const char* v = need_value(i, "--max-est-rows");
       if (v == nullptr) return 2;
       if (!ParseLimit(v, &options.max_est_rows)) {
-        std::fprintf(stderr,
-                     "tabulard: error: --max-est-rows '%s' is not a row "
-                     "count\n",
-                     v);
-        return 2;
+        return Malformed("--max-est-rows", v, "a row count");
       }
     } else if (arg == "--max-est-bytes") {
       const char* v = need_value(i, "--max-est-bytes");
       if (v == nullptr) return 2;
       if (!ParseLimit(v, &options.max_est_bytes)) {
-        std::fprintf(stderr,
-                     "tabulard: error: --max-est-bytes '%s' is not a byte "
-                     "count\n",
-                     v);
-        return 2;
+        return Malformed("--max-est-bytes", v, "a byte count");
       }
     } else if (arg == "--quiet") {
       quiet = true;
@@ -207,8 +236,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     options.host = listen.substr(0, colon);
-    options.port = static_cast<uint16_t>(
-        std::strtoul(listen.c_str() + colon + 1, nullptr, 10));
+    int port = 0;
+    if (!ParsePort(listen.c_str() + colon + 1, &port) || port < 0) {
+      return Malformed("--listen", listen.c_str(), "a host:port");
+    }
+    options.port = static_cast<uint16_t>(port);
   }
 
   tabular::core::TabularDatabase db;
