@@ -30,8 +30,10 @@ Result<Table> Union(const Table& rho, const Table& sigma,
                    rho.RowAttrs().end());
   row_attrs.insert(row_attrs.end(), sigma.RowAttrs().begin(),
                    sigma.RowAttrs().end());
-  // Columnar: each side's columns are a whole-column copy padded with an
-  // all-⊥ run for the other side's rows, so the ⊥ region stays lazy.
+  // Columnar: each side's columns are its source column padded with an
+  // all-⊥ run for the other side's rows, so the ⊥ region stays lazy. The
+  // left side starts on a chunk boundary, so it shares its source's whole
+  // chunks; only its partial tail chunk is copied, to take the padding.
   std::vector<core::Column> cols(wr + ws);
   for (size_t j = 0; j < wr; ++j) {
     cols[j].AppendRange(rho.DataColumn(j + 1), 0, hr);
@@ -183,15 +185,10 @@ Result<Table> Project(const Table& rho, const SymbolSet& attrs,
   for (size_t j = 1; j < rho.num_cols(); ++j) {
     if (attrs.contains(rho.at(0, j))) keep.push_back(j);
   }
-  // Kept columns are whole-column copies — chunk memcpys with lazy all-⊥
-  // chunks preserved, never a per-cell loop.
-  Table out(rho.num_rows(), 1 + keep.size());
+  // The kept columns and the row attributes are shared with rho, not
+  // copied: O(#chunks), no cell touched.
+  Table out = rho.WithColumns(keep);
   out.set_name(result_name);
-  out.MutableRowAttrs() = rho.RowAttrs();
-  for (size_t c = 0; c < keep.size(); ++c) {
-    out.MutableColAttrs()[c] = rho.ColumnAttribute(keep[c]);
-    out.MutableDataColumn(c + 1) = rho.DataColumn(keep[c]);
-  }
   static obs::OpCounters counters("algebra.project");
   counters.Record(rho.height(), out.height());
   return out;
@@ -201,8 +198,15 @@ namespace {
 
 /// Builds the selection result from the matched 0-based data-row indices:
 /// the attribute row carries over, every data column is gathered at once.
+/// `rows` is strictly increasing, so a selection with height() rows keeps
+/// every row in order: it shares rho's storage instead.
 Table GatherRows(const Table& rho, const std::vector<size_t>& rows,
                  Symbol result_name) {
+  if (rows.size() == rho.height()) {
+    Table out = rho;
+    out.set_name(result_name);
+    return out;
+  }
   SymbolVec col_attrs = rho.ColumnAttributes();
   SymbolVec row_attrs(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {

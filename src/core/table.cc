@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -11,72 +12,105 @@ namespace tabular::core {
 
 namespace {
 
-/// Thread-local cache of retired chunk buffers, all with capacity exactly
-/// Column::kChunkSize. Kernels build and destroy many short-lived tables —
-/// Group/CleanUp churn thousands of small shard tables, and bench/REPL loops
-/// retire multi-gigacell results between calls; recycling the 16 KiB buffers
-/// turns the per-chunk malloc/free pair (plus the page churn glibc's trim
-/// causes at this allocation rate) into a pop/push. Capped at 8192 buffers
-/// = 128 MiB per thread, enough to recycle a 3-column × 10M-row result
-/// table between kernel invocations.
+/// Retired chunks a thread keeps for reuse. Kernels build and destroy many
+/// short-lived tables — Group/CleanUp churn thousands of small shard tables,
+/// and bench/REPL loops retire multi-gigacell results between calls;
+/// recycling the 16 KiB chunks turns the per-chunk malloc/free pair (plus
+/// the page churn glibc's trim causes at this allocation rate) into a
+/// pop/push. Capped at 8192 chunks = 128 MiB per thread, enough to recycle
+/// a 3-column × 10M-row result table between kernel invocations.
 constexpr size_t kChunkFreelistCap = 8192;
-thread_local std::vector<std::vector<Symbol>> t_chunk_freelist;
 
 }  // namespace
 
-void Column::MaterializeChunk(std::vector<Symbol>& ch, size_t len) {
-  if (!t_chunk_freelist.empty()) {
-    ch = std::move(t_chunk_freelist.back());
-    t_chunk_freelist.pop_back();
-    // Released buffers are cleared, so resize value-initializes: Symbol's
-    // default state is ⊥ (raw id 0), giving an all-⊥ prefix.
-    ch.resize(len);
-  } else {
-    ch.reserve(kChunkSize);
-    ch.resize(len);
+thread_local std::vector<std::unique_ptr<Column::Chunk>> Column::freelist_;
+
+Column::Chunk* Column::NewChunk() {
+  if (!freelist_.empty()) {
+    Chunk* ch = freelist_.back().release();
+    freelist_.pop_back();
+    ch->refs.store(1, std::memory_order_relaxed);
+    return ch;
+  }
+  return new Chunk();
+}
+
+void Column::Unref(Chunk* ch) {
+  if (!ch->Unref()) return;
+  std::unique_ptr<Chunk> owned(ch);
+  // The chunk goes to the freelist of the thread that drops its last
+  // reference, whichever thread allocated it.
+  if (freelist_.size() < kChunkFreelistCap) {
+    freelist_.push_back(std::move(owned));
   }
 }
 
-void Column::ReleaseChunk(std::vector<Symbol>& ch) {
-  if (ch.capacity() == kChunkSize && t_chunk_freelist.size() < kChunkFreelistCap) {
-    ch.clear();
-    t_chunk_freelist.push_back(std::move(ch));
-  } else {
-    std::vector<Symbol>().swap(ch);
+Column::Column(const Column& other)
+    : size_(other.size_), chunk0_(other.chunk0_), rest_(other.rest_) {
+  if (chunk0_ != nullptr) chunk0_->Ref();
+  for (Chunk* ch : rest_) {
+    if (ch != nullptr) ch->Ref();
   }
+}
+
+Column::Column(Column&& other) noexcept
+    : size_(std::exchange(other.size_, 0)),
+      chunk0_(std::exchange(other.chunk0_, nullptr)),
+      rest_(std::exchange(other.rest_, {})) {}
+
+Column& Column::operator=(Column other) noexcept {
+  std::swap(size_, other.size_);
+  std::swap(chunk0_, other.chunk0_);
+  std::swap(rest_, other.rest_);
+  return *this;
 }
 
 Column::~Column() {
-  if (!chunk0_.empty()) ReleaseChunk(chunk0_);
-  for (std::vector<Symbol>& ch : rest_) {
-    if (!ch.empty()) ReleaseChunk(ch);
+  if (chunk0_ != nullptr) Unref(chunk0_);
+  for (Chunk* ch : rest_) {
+    if (ch != nullptr) Unref(ch);
   }
 }
 
-void Column::ResizeNull(size_t n) {
-  size_ = n;
-  const size_t want = num_chunks();
-  // Drop storage beyond the new span.
-  const size_t keep_rest = want > 1 ? want - 1 : 0;
-  if (rest_.size() > keep_rest) {
-    for (size_t k = keep_rest; k < rest_.size(); ++k) {
-      if (!rest_[k].empty()) ReleaseChunk(rest_[k]);
-    }
-    rest_.resize(keep_rest);
+Column::Chunk* Column::WritableChunk(size_t c, size_t len) {
+  Chunk*& slot = Slot(c);
+  Chunk* fresh = NewChunk();
+  if (slot == nullptr) {
+    std::fill_n(fresh->cells, len, Symbol::Null());
+  } else {
+    std::copy_n(slot->cells, len, fresh->cells);
+    Unref(slot);
   }
-  if (want == 0) {
-    if (!chunk0_.empty()) ReleaseChunk(chunk0_);
+  slot = fresh;
+  return fresh;
+}
+
+Symbol* Column::WritableTail() {
+  const size_t c = size_ >> kChunkBits;
+  Chunk* ch = ChunkAt(c);
+  if (ch == nullptr || !ch->SoleOwner()) {
+    ch = WritableChunk(c, size_ & kChunkMask);
+  }
+  return ch->cells;
+}
+
+void Column::ResizeNull(size_t n) {
+  if (n >= size_) {
+    AppendNulls(n - size_);
     return;
   }
-  // Re-pad materialized chunks whose span length changed (the old tail on a
-  // grow, the new tail on a shrink).
-  if (!chunk0_.empty() && chunk0_.size() != ChunkLen(0)) {
-    chunk0_.resize(ChunkLen(0));
+  size_ = n;
+  // Drop the chunks past the new span; the new tail's cells past its span
+  // become unspecified, so it is not written (nor detached).
+  const size_t want = num_chunks();
+  const size_t keep_rest = want > 1 ? want - 1 : 0;
+  for (size_t k = keep_rest; k < rest_.size(); ++k) {
+    if (rest_[k] != nullptr) Unref(rest_[k]);
   }
-  for (size_t k = 0; k < rest_.size(); ++k) {
-    if (!rest_[k].empty() && rest_[k].size() != ChunkLen(k + 1)) {
-      rest_[k].resize(ChunkLen(k + 1));
-    }
+  if (rest_.size() > keep_rest) rest_.resize(keep_rest);
+  if (want == 0 && chunk0_ != nullptr) {
+    Unref(chunk0_);
+    chunk0_ = nullptr;
   }
 }
 
@@ -85,31 +119,19 @@ void Column::Append(Symbol s) {
     AppendNulls(1);  // Keeps lazy tails lazy.
     return;
   }
-  const size_t c = size_ >> kChunkBits;
-  const size_t off = size_ & kChunkMask;
-  std::vector<Symbol>& ch = ChunkSlot(c);
-  if (ch.empty()) MaterializeChunk(ch, off);
-  ch.push_back(s);
+  WritableTail()[size_ & kChunkMask] = s;
   ++size_;
 }
 
 void Column::AppendNulls(size_t n) {
-  while (n > 0) {
-    const size_t c = size_ >> kChunkBits;
-    const size_t off = size_ & kChunkMask;
-    const size_t take = std::min(n, kChunkSize - off);
-    // A materialized tail keeps vector length == fill; lazy or absent
-    // chunks just extend the span.
-    std::vector<Symbol>* ch = nullptr;
-    if (c == 0) {
-      ch = &chunk0_;
-    } else if (c - 1 < rest_.size()) {
-      ch = &rest_[c - 1];
-    }
-    if (ch != nullptr && !ch->empty()) ch->resize(off + take);
-    size_ += take;
-    n -= take;
+  // Only the tail chunk can be materialized past the span: it gets its new
+  // cells ⊥-filled. Lazy or absent chunks just extend the span.
+  const size_t off = size_ & kChunkMask;
+  if (off != 0 && n > 0 && ChunkAt(size_ >> kChunkBits) != nullptr) {
+    std::fill_n(WritableTail() + off, std::min(n, kChunkSize - off),
+                Symbol::Null());
   }
+  size_ += n;
 }
 
 void Column::AppendFill(Symbol v, size_t n) {
@@ -118,12 +140,9 @@ void Column::AppendFill(Symbol v, size_t n) {
     return;
   }
   while (n > 0) {
-    const size_t c = size_ >> kChunkBits;
     const size_t off = size_ & kChunkMask;
     const size_t take = std::min(n, kChunkSize - off);
-    std::vector<Symbol>& ch = ChunkSlot(c);
-    if (ch.empty()) MaterializeChunk(ch, off);
-    ch.resize(off + take, v);
+    std::fill_n(WritableTail() + off, take, v);
     size_ += take;
     n -= take;
   }
@@ -131,12 +150,9 @@ void Column::AppendFill(Symbol v, size_t n) {
 
 void Column::AppendSpan(const Symbol* p, size_t n) {
   while (n > 0) {
-    const size_t c = size_ >> kChunkBits;
     const size_t off = size_ & kChunkMask;
     const size_t put = std::min(n, kChunkSize - off);
-    std::vector<Symbol>& ch = ChunkSlot(c);
-    if (ch.empty()) MaterializeChunk(ch, off);
-    ch.insert(ch.end(), p, p + put);
+    std::copy_n(p, put, WritableTail() + off);
     size_ += put;
     p += put;
     n -= put;
@@ -147,12 +163,20 @@ void Column::AppendRange(const Column& src, size_t begin, size_t n) {
   while (n > 0) {
     const size_t c = begin >> kChunkBits;
     const size_t off = begin & kChunkMask;
-    const size_t take = std::min(n, src.ChunkLen(c) - off);
-    const Symbol* p = src.ChunkData(c);
-    if (p == nullptr) {
+    const size_t len = src.ChunkLen(c);
+    const size_t take = std::min(n, len - off);
+    Chunk* ch = src.ChunkAt(c);
+    if (ch == nullptr) {
       AppendNulls(take);
+    } else if (off == 0 && take == len && (size_ & kChunkMask) == 0) {
+      // The whole chunk lands on a chunk boundary: share it.
+      Chunk*& slot = Slot(size_ >> kChunkBits);
+      assert(slot == nullptr);
+      ch->Ref();
+      slot = ch;
+      size_ += take;
     } else {
-      AppendSpan(p + off, take);
+      AppendSpan(ch->cells + off, take);
     }
     begin += take;
     n -= take;
@@ -168,7 +192,7 @@ bool operator==(const Column& a, const Column& b) {
   for (size_t c = 0; c < a.num_chunks(); ++c) {
     const Symbol* pa = a.ChunkData(c);
     const Symbol* pb = b.ChunkData(c);
-    if (pa == nullptr && pb == nullptr) continue;
+    if (pa == pb) continue;  // Both lazy, or one shared chunk.
     const size_t len = a.ChunkLen(c);
     if (pa == nullptr || pb == nullptr) {
       const Symbol* p = pa == nullptr ? pb : pa;
@@ -184,12 +208,33 @@ bool operator==(const Column& a, const Column& b) {
 
 // -- Table -------------------------------------------------------------------
 
+const SymbolVec Table::SharedSymbols::kEmpty;
+
+Table::SharedSymbols::SharedSymbols(SymbolVec v) {
+  if (v.empty()) return;
+  buf_ = new Buf;
+  buf_->v = std::move(v);
+}
+
+Table::SharedSymbols::~SharedSymbols() {
+  if (buf_ != nullptr && buf_->Unref()) delete buf_;
+}
+
+void Table::SharedSymbols::Detach() {
+  Buf* fresh = new Buf;
+  if (buf_ != nullptr) {
+    fresh->v = buf_->v;
+    if (buf_->Unref()) delete buf_;
+  }
+  buf_ = fresh;
+}
+
 Table::Table() : Table(1, 1) {}
 
 Table::Table(size_t num_rows, size_t num_cols)
     : num_rows_(num_rows),
       num_cols_(num_cols),
-      row_attrs_(num_rows - 1),
+      row_attrs_(SymbolVec(num_rows - 1)),
       col_attrs_(num_cols - 1),
       data_(num_cols - 1, core::Column(num_rows - 1)) {
   assert(num_rows >= 1 && num_cols >= 1);
@@ -224,7 +269,7 @@ Table Table::FromColumns(Symbol name, SymbolVec col_attrs,
   t.num_rows_ = 1 + row_attrs.size();
   t.num_cols_ = 1 + col_attrs.size();
   t.name_ = name;
-  t.row_attrs_ = std::move(row_attrs);
+  t.row_attrs_ = SharedSymbols(std::move(row_attrs));
   t.col_attrs_ = std::move(col_attrs);
   t.data_ = std::move(data);
   return t;
@@ -259,9 +304,24 @@ SymbolVec Table::Column(size_t j) const {
   return out;
 }
 
+Table Table::WithColumns(const std::vector<size_t>& cols) const {
+  Table out;
+  out.num_rows_ = num_rows_;
+  out.num_cols_ = 1 + cols.size();
+  out.name_ = name_;
+  out.row_attrs_ = row_attrs_;
+  out.col_attrs_.reserve(cols.size());
+  out.data_.reserve(cols.size());
+  for (size_t j : cols) {
+    out.col_attrs_.push_back(col_attrs_[j - 1]);
+    out.data_.push_back(data_[j - 1]);
+  }
+  return out;
+}
+
 void Table::AppendRow(const SymbolVec& row) {
   assert(row.size() == num_cols_);
-  row_attrs_.push_back(row[0]);
+  row_attrs_.Mutable().push_back(row[0]);
   for (size_t j = 1; j < num_cols_; ++j) data_[j - 1].Append(row[j]);
   ++num_rows_;
 }
@@ -310,7 +370,7 @@ SymbolSet Table::ColumnEntries(size_t j, Symbol attr) const {
 SymbolSet Table::AllSymbols() const {
   SymbolSet out;
   out.insert(name_);
-  out.insert(row_attrs_.begin(), row_attrs_.end());
+  out.insert(RowAttrs().begin(), RowAttrs().end());
   out.insert(col_attrs_.begin(), col_attrs_.end());
   for (const core::Column& col : data_) {
     for (size_t c = 0; c < col.num_chunks(); ++c) {
@@ -327,7 +387,7 @@ SymbolSet Table::AllSymbols() const {
 
 bool operator==(const Table& a, const Table& b) {
   return a.num_rows_ == b.num_rows_ && a.num_cols_ == b.num_cols_ &&
-         a.name_ == b.name_ && a.row_attrs_ == b.row_attrs_ &&
+         a.name_ == b.name_ && a.RowAttrs() == b.RowAttrs() &&
          a.col_attrs_ == b.col_attrs_ && a.data_ == b.data_;
 }
 
@@ -371,8 +431,8 @@ bool Table::ColumnsSubsumeEachOther(const Table& rho, size_t j,
 Table Table::Transposed() const {
   Table out(num_cols_, num_rows_);
   out.name_ = name_;
-  out.row_attrs_ = col_attrs_;
-  out.col_attrs_ = row_attrs_;
+  out.row_attrs_ = SharedSymbols(col_attrs_);
+  out.col_attrs_ = RowAttrs();
   // Tile the data transpose so both the source column reads and the
   // destination column writes stay within one chunk per tile row.
   constexpr size_t kTile = 64;

@@ -1,17 +1,40 @@
 #ifndef TABULAR_CORE_TABLE_H_
 #define TABULAR_CORE_TABLE_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
 #include "core/symbol.h"
 
 namespace tabular::core {
+
+namespace internal {
+
+/// The intrusive reference count of a copy-on-write buffer (a column chunk,
+/// a table's row attributes). A new buffer has one holder. Taking another
+/// reference is relaxed; dropping one is acq_rel, so every access a holder
+/// made happens-before the buffer is recycled or handed to a sole owner;
+/// and a writer tests `SoleOwner` with an acquire load before writing, so
+/// the other holders' last reads happen-before its writes.
+struct SharedCount {
+  void Ref() { refs.fetch_add(1, std::memory_order_relaxed); }
+  /// Drops one reference; true if it was the last.
+  bool Unref() { return refs.fetch_sub(1, std::memory_order_acq_rel) == 1; }
+  bool SoleOwner() const { return refs.load(std::memory_order_acquire) == 1; }
+
+  std::atomic<uint32_t> refs{1};
+};
+
+}  // namespace internal
 
 /// One data column of a `Table`, stored as fixed-size chunks of interned
 /// symbol handles (the dictionary codes of the process-wide symbol pool —
@@ -21,17 +44,26 @@ namespace tabular::core {
 /// Invariants:
 ///   * every chunk except the last spans exactly `kChunkSize` cells; the
 ///     last spans `size() - (num_chunks() - 1) * kChunkSize`;
-///   * a chunk is either *materialized* (its vector holds one handle per
-///     cell) or *lazy* (an empty vector standing for an all-⊥ span).
+///   * a chunk is either *materialized* (a buffer holding one handle per
+///     cell) or *lazy* (no buffer, standing for an all-⊥ span).
 ///
 /// Lazy chunks make all-⊥ construction O(size / kChunkSize): a fresh
 /// `Table(rows, cols)` allocates no cell storage at all, and sparse kernels
 /// (GROUP's one-value-per-column output) only materialize the chunks they
 /// write. `Set` of ⊥ into a lazy chunk is a no-op.
 ///
-/// Thread-safety: concurrent reads are wait-free (handle loads). A write
-/// may materialize a chunk, so parallel kernels must either partition work
-/// by chunk (each chunk written by one task only) or pre-`Materialize`.
+/// Chunks are copy-on-write: copying a column shares every chunk buffer
+/// (O(num_chunks()), no cell copied), and `AppendRange` shares a whole
+/// source chunk that lands on a chunk boundary. Only a chunk's sole owner
+/// writes to it: every writer (`Set`, `MutableChunkData`, `Materialize`,
+/// the appenders, `ResizeNull`) first detaches a chunk another column still
+/// references, so a write through one column is never seen through another.
+///
+/// Thread-safety: concurrent reads are wait-free (handle loads). Distinct
+/// columns may be read, written, copied and destroyed on different threads
+/// even while they share chunks. Within one column, a write may materialize
+/// or detach a chunk, so parallel kernels must either partition work by
+/// chunk (each chunk written by one task only) or pre-`Materialize`.
 class Column {
  public:
   static constexpr size_t kChunkBits = 12;
@@ -41,11 +73,11 @@ class Column {
   Column() = default;
   /// An all-⊥ column of `n` cells (every chunk lazy) — O(1), no allocation.
   explicit Column(size_t n) : size_(n) {}
+  /// Shares every chunk of `other`.
+  Column(const Column& other);
+  Column(Column&& other) noexcept;
+  Column& operator=(Column other) noexcept;
   ~Column();
-  Column(const Column&) = default;
-  Column(Column&&) = default;
-  Column& operator=(const Column&) = default;
-  Column& operator=(Column&&) = default;
 
   size_t size() const { return size_; }
   size_t num_chunks() const { return (size_ + kChunkSize - 1) >> kChunkBits; }
@@ -55,48 +87,34 @@ class Column {
   }
 
   Symbol Get(size_t i) const {
-    const size_t c = i >> kChunkBits;
-    if (c == 0) {
-      return chunk0_.empty() ? Symbol::Null() : chunk0_[i & kChunkMask];
-    }
-    if (c - 1 >= rest_.size() || rest_[c - 1].empty()) return Symbol::Null();
-    return rest_[c - 1][i & kChunkMask];
+    const Chunk* ch = ChunkAt(i >> kChunkBits);
+    return ch == nullptr ? Symbol::Null() : ch->cells[i & kChunkMask];
   }
 
   void Set(size_t i, Symbol s) {
     const size_t c = i >> kChunkBits;
-    std::vector<Symbol>* ch;
-    if (c == 0) {
-      ch = &chunk0_;
-    } else {
-      if (c - 1 >= rest_.size()) {
-        if (s.is_null()) return;  // Absent chunks are already all-⊥.
-        rest_.resize(c);
-      }
-      ch = &rest_[c - 1];
-    }
-    if (ch->empty()) {
-      if (s.is_null()) return;  // Lazy chunks are already all-⊥.
-      MaterializeChunk(*ch, ChunkLen(c));
-    }
-    (*ch)[i & kChunkMask] = s;
+    Chunk* ch = ChunkAt(c);
+    if (ch == nullptr && s.is_null()) return;  // Lazy: already all-⊥.
+    if (ch == nullptr || !ch->SoleOwner()) ch = WritableChunk(c, ChunkLen(c));
+    ch->cells[i & kChunkMask] = s;
   }
 
   /// Chunk cells, or nullptr for a lazy (all-⊥) chunk.
   const Symbol* ChunkData(size_t c) const {
-    if (c == 0) return chunk0_.empty() ? nullptr : chunk0_.data();
-    if (c - 1 >= rest_.size() || rest_[c - 1].empty()) return nullptr;
-    return rest_[c - 1].data();
+    const Chunk* ch = ChunkAt(c);
+    return ch == nullptr ? nullptr : ch->cells;
   }
-  /// Chunk cells for writing; materializes a lazy chunk (⊥-filled).
+  /// Chunk cells for writing; materializes a lazy chunk (⊥-filled) and
+  /// detaches a shared one. Valid until the column is next copied, resized
+  /// or appended to.
   Symbol* MutableChunkData(size_t c) {
-    std::vector<Symbol>& ch = ChunkSlot(c);
-    if (ch.empty()) MaterializeChunk(ch, ChunkLen(c));
-    return ch.data();
+    Chunk* ch = ChunkAt(c);
+    if (ch == nullptr || !ch->SoleOwner()) ch = WritableChunk(c, ChunkLen(c));
+    return ch->cells;
   }
 
-  /// Materializes every chunk (so concurrent position-disjoint `Set`s on
-  /// shared chunks stay race-free).
+  /// Materializes (and detaches) every chunk, so concurrent
+  /// position-disjoint `Set`s on one chunk stay race-free.
   void Materialize() {
     for (size_t c = 0; c < num_chunks(); ++c) MutableChunkData(c);
   }
@@ -113,8 +131,9 @@ class Column {
   void AppendFill(Symbol v, size_t n);
   /// Appends the `n` cells at `p` (bulk memcpy into tail chunks).
   void AppendSpan(const Symbol* p, size_t n);
-  /// Appends cells [begin, begin + n) of `src` (chunk-level copies; lazy
-  /// source spans stay lazy when the destination is chunk-aligned).
+  /// Appends cells [begin, begin + n) of `src`. A whole source chunk that
+  /// lands on a chunk boundary here is shared, not copied; lazy source
+  /// spans stay lazy when the destination is chunk-aligned.
   void AppendRange(const Column& src, size_t begin, size_t n);
   /// Appends `src.Get(r)` for every r in `rows`.
   void AppendGather(const Column& src, const std::vector<size_t>& rows);
@@ -123,28 +142,49 @@ class Column {
   friend bool operator==(const Column& a, const Column& b);
 
  private:
-  /// The chunk-`c` slot, created (lazy) if the storage doesn't reach it yet.
-  std::vector<Symbol>& ChunkSlot(size_t c) {
+  /// One chunk's buffer: the reference count and kChunkSize cells in a
+  /// single allocation. Cells past the owning column's `ChunkLen` are
+  /// unspecified; a writer that extends a chunk's span fills them first.
+  /// The cells start on their own cache line, so threads taking and
+  /// dropping references to a shared chunk do not evict the cells that
+  /// other threads are reading.
+  struct Chunk : internal::SharedCount {
+    Chunk() {}  // Leaves the cells unconstructed: writers fill them.
+    union {
+      alignas(64) Symbol cells[kChunkSize];
+    };
+  };
+  /// This thread's retired chunks, reused before allocating (table.cc).
+  static thread_local std::vector<std::unique_ptr<Chunk>> freelist_;
+
+  /// Chunk `c`, or nullptr if it is lazy.
+  Chunk* ChunkAt(size_t c) const {
     if (c == 0) return chunk0_;
-    if (c - 1 >= rest_.size()) rest_.resize(c);
+    return c - 1 < rest_.size() ? rest_[c - 1] : nullptr;
+  }
+  /// The chunk-`c` slot, created (lazy) if the storage doesn't reach it yet.
+  Chunk*& Slot(size_t c) {
+    if (c == 0) return chunk0_;
+    if (c - 1 >= rest_.size()) rest_.resize(c, nullptr);
     return rest_[c - 1];
   }
-  /// Fills `ch` with `len` ⊥ cells, reusing a pooled chunk buffer when one
-  /// is available (see the thread-local freelist in table.cc).
-  static void MaterializeChunk(std::vector<Symbol>& ch, size_t len);
-  /// Returns `ch`'s buffer to the pool (or frees it) and leaves it empty.
-  static void ReleaseChunk(std::vector<Symbol>& ch);
+  /// Replaces lazy or shared chunk `c` with a fresh chunk this column owns
+  /// alone, whose first `len` cells hold the chunk's current contents.
+  Chunk* WritableChunk(size_t c, size_t len);
+  /// The cells of the tail chunk (the one holding cell `size()`), writable.
+  Symbol* WritableTail();
+  /// A chunk with one holder, from this thread's freelist when it has one.
+  static Chunk* NewChunk();
+  /// Drops one reference to `ch`; the last holder recycles it.
+  static void Unref(Chunk* ch);
 
-  // Invariants: a materialized interior chunk holds exactly kChunkSize
-  // cells; a materialized tail chunk holds exactly its fill (= ChunkLen).
-  // `rest_` may be *shorter* than num_chunks() - 1 — missing entries, like
-  // empty vectors, stand for lazy all-⊥ spans, so an all-⊥ column of any
-  // size allocates nothing at all.
+  // Invariants: chunks past the span are absent. `rest_` may be *shorter*
+  // than num_chunks() - 1 — missing entries, like nullptr ones, stand for
+  // lazy all-⊥ spans, so an all-⊥ column of any size allocates nothing.
   size_t size_ = 0;
-  std::vector<Symbol> chunk0_;             // Chunk 0, inline (the common
-                                           // single-chunk column needs no
-                                           // chunk-table allocation).
-  std::vector<std::vector<Symbol>> rest_;  // Chunks 1... (possibly short).
+  Chunk* chunk0_ = nullptr;   // Chunk 0, inline (the common single-chunk
+                              // column needs no chunk-table allocation).
+  std::vector<Chunk*> rest_;  // Chunks 1... (possibly short).
 };
 
 /// A table of the tabular database model (paper §2, Figure 2).
@@ -214,7 +254,7 @@ class Table {
     if (i == 0) {
       (j == 0 ? name_ : col_attrs_[j - 1]) = s;
     } else if (j == 0) {
-      row_attrs_[i - 1] = s;
+      row_attrs_.Mutable()[i - 1] = s;
     } else {
       data_[j - 1].Set(i - 1, s);
     }
@@ -234,7 +274,7 @@ class Table {
   /// The attribute row τ⁰_{>0} (without the name), in column order.
   SymbolVec ColumnAttributes() const { return col_attrs_; }
   /// The attribute column τ_{>0}⁰ (without the name), in row order.
-  SymbolVec RowAttributes() const { return row_attrs_; }
+  SymbolVec RowAttributes() const { return row_attrs_.get(); }
 
   /// Physical row `i` as a vector of `num_cols()` symbols.
   SymbolVec Row(size_t i) const;
@@ -248,15 +288,24 @@ class Table {
   const core::Column& DataColumn(size_t j) const { return data_[j - 1]; }
   core::Column& MutableDataColumn(size_t j) { return data_[j - 1]; }
   /// The attribute vectors as flat arrays (entry i ↔ physical index i + 1).
-  const SymbolVec& RowAttrs() const { return row_attrs_; }
+  /// Copies of a table share one row-attribute vector; `MutableRowAttrs`
+  /// detaches it first if another table still holds it, and its reference
+  /// is for writing only until the table is next copied.
+  const SymbolVec& RowAttrs() const { return row_attrs_.get(); }
   const SymbolVec& ColAttrs() const { return col_attrs_; }
-  SymbolVec& MutableRowAttrs() { return row_attrs_; }
+  SymbolVec& MutableRowAttrs() { return row_attrs_.Mutable(); }
   SymbolVec& MutableColAttrs() { return col_attrs_; }
   /// Materializes every chunk of every data column (see Column::Set for
   /// when parallel writers need this).
   void MaterializeAll() {
     for (core::Column& c : data_) c.Materialize();
   }
+
+  /// This table restricted to the physical data columns `cols` (each
+  /// 1 ≤ j ≤ width(), in the given order), with the same name and rows.
+  /// The kept columns' chunks and the row attributes are shared, not
+  /// copied: O(chunks kept), no cell touched.
+  Table WithColumns(const std::vector<size_t>& cols) const;
 
   // -- Structural edits -----------------------------------------------------
 
@@ -312,10 +361,46 @@ class Table {
   std::string ToString() const;
 
  private:
+  /// A symbol vector shared between copies the way column chunks are: a
+  /// copy takes a reference, and `Mutable` detaches a vector another holder
+  /// still references before handing it out. No buffer means empty.
+  class SharedSymbols {
+   public:
+    SharedSymbols() = default;
+    explicit SharedSymbols(SymbolVec v);
+    SharedSymbols(const SharedSymbols& other) : buf_(other.buf_) {
+      if (buf_ != nullptr) buf_->Ref();
+    }
+    SharedSymbols(SharedSymbols&& other) noexcept
+        : buf_(std::exchange(other.buf_, nullptr)) {}
+    SharedSymbols& operator=(SharedSymbols other) noexcept {
+      std::swap(buf_, other.buf_);
+      return *this;
+    }
+    ~SharedSymbols();
+
+    const SymbolVec& get() const { return buf_ == nullptr ? kEmpty : buf_->v; }
+    /// Entry `i` (< get().size()).
+    Symbol operator[](size_t i) const { return buf_->v[i]; }
+    SymbolVec& Mutable() {
+      if (buf_ == nullptr || !buf_->SoleOwner()) Detach();
+      return buf_->v;
+    }
+
+   private:
+    struct Buf : internal::SharedCount {
+      SymbolVec v;
+    };
+    /// Replaces the buffer with a copy this holder owns alone.
+    void Detach();
+    static const SymbolVec kEmpty;
+    Buf* buf_ = nullptr;
+  };
+
   size_t num_rows_;
   size_t num_cols_;
   Symbol name_;
-  SymbolVec row_attrs_;             // height() entries.
+  SharedSymbols row_attrs_;         // height() entries.
   SymbolVec col_attrs_;             // width() entries.
   std::vector<core::Column> data_;  // width() columns of height() cells.
 };

@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "algebra/ops.h"
 #include "core/compare.h"
 #include "core/sales_data.h"
 #include "core/table.h"
+#include "io/grid_format.h"
 #include "relational/canonical.h"
 #include "tests/test_util.h"
 
@@ -188,6 +190,69 @@ TEST(ParallelKernelTest, CartesianProductIsByteIdenticalAcrossThreadCounts) {
     auto got = algebra::CartesianProduct(r, s, S("RS"));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TABLE_EXACT(*got, *want);
+  }
+}
+
+Table Ok(Result<Table> r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(r).value() : Table();
+}
+
+TEST(ParallelKernelTest, KernelsOverSharedChunksMatchAcrossThreadCounts) {
+  // Every kernel input shares its chunks with a live table. Workers read
+  // those chunks, and the product's workers take references to the tall
+  // table's chunks (each tile lands on a chunk boundary) all at once.
+  const size_t kC = core::Column::kChunkSize;
+  const Table flat_live = fixtures::SyntheticSales(96, 8);
+  const Table grouped_live =
+      Ok(algebra::Group(flat_live, {S("Region")}, {S("Sold")}, S("Sales")));
+  core::Column items;
+  core::Column qty;
+  for (size_t i = 0; i < kC; ++i) {
+    items.Append(Symbol::Value("i" + std::to_string(i % 61)));
+    qty.Append(i % 5 == 0 ? Symbol::Null()
+                          : Symbol::Number(static_cast<int64_t>(i)));
+  }
+  const Table tall_live = Table::FromColumns(
+      S("Tall"), {S("Item"), S("Qty")}, core::SymbolVec(kC), {items, qty});
+  const Table small = fixtures::SyntheticSales(3, 2);
+  const std::vector<const Table*> lives = {&flat_live, &grouped_live,
+                                           &tall_live};
+  std::vector<std::string> before;
+  for (const Table* t : lives) before.push_back(io::Serialize(*t));
+
+  auto run = [&] {
+    const Table flat = flat_live;
+    const Table grouped = grouped_live;
+    const Table tall = tall_live;
+    std::vector<Table> out;
+    out.push_back(
+        Ok(algebra::Group(flat, {S("Region")}, {S("Sold")}, S("Sales"))));
+    out.push_back(
+        Ok(algebra::Merge(grouped, {S("Sold")}, {S("Region")}, S("Sales"))));
+    out.push_back(Ok(algebra::CartesianProduct(small, tall, S("RS"))));
+    return out;
+  };
+  std::vector<Table> want;
+  {
+    ScopedThreads serial(1);
+    want = run();
+  }
+  EXPECT_EQ(want[2].DataColumn(small.width() + 1).ChunkData(1),
+            tall_live.DataColumn(1).ChunkData(0));
+  for (size_t threads : {2, 4, 8}) {
+    ScopedThreads st(threads);
+    std::vector<Table> got = run();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_TABLE_EXACT(got[k], want[k]);
+      // Writing an output detaches whatever it shares.
+      got[k].MaterializeAll();
+      got[k].set(1, 1, S("w"));
+    }
+  }
+  for (size_t k = 0; k < lives.size(); ++k) {
+    EXPECT_EQ(io::Serialize(*lives[k]), before[k]) << "live table " << k;
   }
 }
 
