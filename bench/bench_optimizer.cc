@@ -67,7 +67,8 @@ TabularDatabase SalesDb(size_t parts, size_t regions) {
 void BM_OptimizePass(benchmark::State& state) {
   tabular::bench::CounterDeltas deltas(
       state, {{"ta_applied", "optimizer.rewrites_applied"},
-              {"ta_rejected", "optimizer.rewrites_rejected"}});
+              {"ta_rejected", "optimizer.rewrites_rejected"},
+              {"ta_analyzed_stmts", "optimizer.statements_analyzed"}});
   const tabular::lang::Program program =
       MustParse(RedundantFig1Program(state.range(0)));
   const tabular::analysis::AbstractDatabase initial =

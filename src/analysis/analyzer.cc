@@ -151,15 +151,21 @@ class Analyzer {
     if (before != nullptr) before->reserve(statements.size());
     for (size_t i = 0; i < statements.size(); ++i) {
       if (before != nullptr) before->push_back(*state);
-      const std::string path = path_prefix + std::to_string(i + 1);
-      const Statement& s = statements[i];
-      if (const auto* a = std::get_if<Assignment>(&s.node)) {
-        AnalyzeAssignment(*a, path, state, certain_context);
-      } else if (const auto* d = std::get_if<DropStatement>(&s.node)) {
-        AnalyzeDrop(*d, state);
-      } else {
-        AnalyzeWhile(std::get<WhileLoop>(s.node), path, state);
-      }
+      AnalyzeStatement(statements[i], path_prefix + std::to_string(i + 1),
+                       state, certain_context);
+    }
+  }
+
+  /// The transfer function of one statement: `*state` becomes the state
+  /// after it.
+  void AnalyzeStatement(const Statement& s, const std::string& path,
+                        AbstractDatabase* state, bool certain_context) {
+    if (const auto* a = std::get_if<Assignment>(&s.node)) {
+      AnalyzeAssignment(*a, path, state, certain_context);
+    } else if (const auto* d = std::get_if<DropStatement>(&s.node)) {
+      AnalyzeDrop(*d, state);
+    } else {
+      AnalyzeWhile(std::get<WhileLoop>(s.node), path, state);
     }
   }
 
@@ -418,7 +424,11 @@ class Analyzer {
       args_certain = false;
     }
 
-    CheckOperation(stmt, path, params, arg_names, in1, in2, args_certain);
+    // The contract checks only emit diagnostics: skip building their
+    // messages when nothing collects them.
+    if (sink_ != nullptr) {
+      CheckOperation(stmt, path, params, arg_names, in1, in2, args_certain);
+    }
 
     const bool binary = stmt.args.size() == 2;
     const bool same_single_arg =
@@ -1129,6 +1139,66 @@ AnalysisResult AnalyzeCompleteRun(const std::vector<Statement>& statements,
       .AnalyzeStatements(statements, "", &result.final_state,
                          /*certain_context=*/true, &result.before);
   return result;
+}
+
+const AbstractDatabase& SplicedRun::After(const AnalysisResult& base,
+                                          size_t k) const {
+  if (k <= index) return base.After(k);
+  if (k - index <= span.size()) return span[k - index - 1];
+  return base.After(BaseIndex(k));
+}
+
+SplicedRun AnalyzeSplice(const std::vector<Statement>& base_statements,
+                         const AnalysisResult& base, size_t index,
+                         size_t consumed,
+                         const std::vector<Statement>& replacement) {
+  SplicedRun run;
+  run.index = index;
+  run.consumed = consumed;
+  run.inserted = replacement.size();
+  Analyzer analyzer(AnalyzerOptions{}, /*sink=*/nullptr);
+  // The running state is the last span entry; until a statement runs it
+  // is the base's entry state, read in place.
+  auto state = [&]() -> const AbstractDatabase& {
+    return run.span.empty() ? base.After(index) : run.span.back();
+  };
+  auto analyze = [&](const Statement& s) {
+    AbstractDatabase next = state();
+    analyzer.AnalyzeStatement(s, std::to_string(index + run.analyzed + 1),
+                              &next, /*certain_context=*/true);
+    ++run.analyzed;
+    run.span.push_back(std::move(next));
+  };
+  for (const Statement& s : replacement) analyze(s);
+  // Past the replacement every statement is the base's own, so the first
+  // state equal to the base's aligned one is the sync point.
+  for (size_t q = index + consumed;; ++q) {
+    if (state() == base.After(q)) {
+      // The synced state is the base's: leave it out of the span so that
+      // `After` hands out the base's own object from here on.
+      if (!run.span.empty()) run.span.pop_back();
+      break;
+    }
+    if (q == base_statements.size()) break;  // differs through exit
+    analyze(base_statements[q]);
+  }
+  return run;
+}
+
+AnalysisResult ApplySplice(AnalysisResult base, SplicedRun run) {
+  const size_t n = base.before.size() - run.consumed + run.inserted;
+  AnalysisResult out;
+  out.before.reserve(n);
+  auto take = [&](size_t k) -> AbstractDatabase& {
+    if (k <= run.index) return k < base.before.size() ? base.before[k]
+                                                       : base.final_state;
+    if (k - run.index <= run.span.size()) return run.span[k - run.index - 1];
+    const size_t q = run.BaseIndex(k);
+    return q < base.before.size() ? base.before[q] : base.final_state;
+  };
+  for (size_t k = 0; k < n; ++k) out.before.push_back(std::move(take(k)));
+  out.final_state = std::move(take(n));
+  return out;
 }
 
 AbstractDatabase LoopInvariant(const std::vector<Statement>& body,

@@ -88,6 +88,45 @@ AnalysisResult AnalyzeProgram(const lang::Program& program,
 AnalysisResult AnalyzeCompleteRun(
     const std::vector<lang::Statement>& statements, AbstractDatabase entry);
 
+/// The top-level states of a program that replaces the window
+/// [index, index + consumed) of a base program with `inserted` statements,
+/// held as a delta over the base's states. `span` holds the spliced
+/// program's states after statements index + 1, ..., index + span.size():
+/// the ones its analysis derived that may differ from the base's. Every
+/// other state is the base's own object. Up to `index` the statements
+/// and the entry state are the base's; past the span, the state equalled
+/// the base's aligned state (the sync point), and analysis is a forward
+/// function of the state.
+struct SplicedRun {
+  size_t index = 0;
+  size_t consumed = 0;
+  size_t inserted = 0;
+  std::vector<AbstractDatabase> span;
+  /// Statements the splice ran through the transfer function: the
+  /// replacement plus the base statements up to the sync point.
+  size_t analyzed = 0;
+
+  /// The base statement at position `k` of the spliced program, for k at
+  /// or past the end of the replacement.
+  size_t BaseIndex(size_t k) const { return k - inserted + consumed; }
+  /// The spliced program's state after its first `k` statements.
+  const AbstractDatabase& After(const AnalysisResult& base, size_t k) const;
+};
+
+/// Analyzes the splice of `replacement` into the window [index,
+/// index + consumed) of `base_statements`, whose complete run is `base`:
+/// from `base.After(index)`, it runs the replacement and then the base's
+/// statements after the window, and stops at the first state equal to
+/// the base's aligned state.
+SplicedRun AnalyzeSplice(const std::vector<lang::Statement>& base_statements,
+                         const AnalysisResult& base, size_t index,
+                         size_t consumed,
+                         const std::vector<lang::Statement>& replacement);
+
+/// The spliced program's complete run, without diagnostics: `base`'s
+/// prefix and suffix states and the span's are moved into it.
+AnalysisResult ApplySplice(AnalysisResult base, SplicedRun run);
+
 /// The invariant at the head of a while loop with body `body` entered in
 /// `entry`: the widening fixpoint of the join over 0, 1, 2, ... complete
 /// body runs, ⊤ past the iteration cap. Carries no guard refinement.

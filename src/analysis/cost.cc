@@ -96,25 +96,30 @@ class Walker {
   void Walk(const std::vector<Statement>& stmts, const AnalysisResult& run,
             const std::string& prefix, bool unbounded_loop) {
     for (size_t i = 0; i < stmts.size(); ++i) {
-      const std::string path =
-          prefix.empty() ? std::to_string(i + 1)
-                         : prefix + "." + std::to_string(i + 1);
-      const Statement& s = stmts[i];
-      if (const auto* a = std::get_if<Assignment>(&s.node)) {
-        CostAssignment(*a, run.before[i], run.After(i + 1), path,
-                       unbounded_loop);
-      } else if (std::get_if<DropStatement>(&s.node)) {
-        // A drop is a metadata update: constant work, nothing produced.
-        StatementCost c;
-        c.path = path;
-        c.is_drop = true;
-        c.in_unbounded_loop = unbounded_loop;
-        c.work = unbounded_loop ? kInf : 1;
-        Push(std::move(c));
-      } else {
-        CostWhile(std::get<WhileLoop>(s.node), run.before[i], path,
-                  unbounded_loop);
-      }
+      CostStatement(stmts[i], run.before[i], run.After(i + 1),
+                    prefix.empty() ? std::to_string(i + 1)
+                                   : prefix + "." + std::to_string(i + 1),
+                    unbounded_loop);
+    }
+  }
+
+  /// Costs statement `s` at `path`, whose states before and after it are
+  /// `state` and `post`.
+  void CostStatement(const Statement& s, const AbstractDatabase& state,
+                     const AbstractDatabase& post, const std::string& path,
+                     bool unbounded_loop) {
+    if (const auto* a = std::get_if<Assignment>(&s.node)) {
+      CostAssignment(*a, state, post, path, unbounded_loop);
+    } else if (std::get_if<DropStatement>(&s.node)) {
+      // A drop is a metadata update: constant work, nothing produced.
+      StatementCost c;
+      c.path = path;
+      c.is_drop = true;
+      c.in_unbounded_loop = unbounded_loop;
+      c.work = unbounded_loop ? kInf : 1;
+      Push(std::move(c));
+    } else {
+      CostWhile(std::get<WhileLoop>(s.node), state, path, unbounded_loop);
     }
   }
 
@@ -208,16 +213,25 @@ CostReport EstimateCost(const Program& program,
   return report;
 }
 
-int CompareCost(const CostReport& a, const CostReport& b) {
+CostSummary CostOfStatement(const Statement& statement, size_t index,
+                            const AbstractDatabase& before,
+                            const AbstractDatabase& after) {
+  CostReport report;
+  Walker(&report).CostStatement(statement, before, after,
+                                std::to_string(index + 1),
+                                /*unbounded_loop=*/false);
+  return CostSummary{report.total_work, report.peak_bytes,
+                     report.statements.size()};
+}
+
+int CompareCost(const CostSummary& a, const CostSummary& b) {
   if (a.total_work != b.total_work) {
     return a.total_work < b.total_work ? -1 : 1;
   }
   if (a.peak_bytes != b.peak_bytes) {
     return a.peak_bytes < b.peak_bytes ? -1 : 1;
   }
-  if (a.statements.size() != b.statements.size()) {
-    return a.statements.size() < b.statements.size() ? -1 : 1;
-  }
+  if (a.entries != b.entries) return a.entries < b.entries ? -1 : 1;
   return 0;
 }
 

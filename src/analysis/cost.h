@@ -1,6 +1,8 @@
 #ifndef TABULAR_ANALYSIS_COST_H_
 #define TABULAR_ANALYSIS_COST_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -101,11 +103,35 @@ CostReport EstimateCost(const lang::Program& program,
 CostReport EstimateCost(const lang::Program& program,
                         const AnalysisResult& analysis);
 
+/// What plan selection ranks by, for a whole program or for any run of
+/// its top-level statements: total work, peak bytes and the number of
+/// cost entries. Runs concatenate with `+` (saturating sum, maximum,
+/// sum), so a plan that keeps one summary per top-level statement costs a
+/// rewrite of one window as a delta over the statements it re-analyzed.
+struct CostSummary {
+  uint64_t total_work = 0;
+  uint64_t peak_bytes = 0;
+  size_t entries = 0;
+
+  friend CostSummary operator+(const CostSummary& a, const CostSummary& b) {
+    return CostSummary{CardInterval::SatAdd(a.total_work, b.total_work),
+                       std::max(a.peak_bytes, b.peak_bytes),
+                       a.entries + b.entries};
+  }
+};
+
+/// The summary of top-level statement `index` of a program whose states
+/// before and after it are `before` and `after`: the entries
+/// `EstimateCost` reports for it, its while body's included.
+CostSummary CostOfStatement(const lang::Statement& statement, size_t index,
+                            const AbstractDatabase& before,
+                            const AbstractDatabase& after);
+
 /// Plan-selection order: lexicographic on (total_work, peak_bytes,
-/// statement count). Returns <0 when `a` is strictly cheaper, 0 on ties,
-/// >0 otherwise. Unbounded work saturates to kInf, so any bounded plan
-/// beats every unbounded one.
-int CompareCost(const CostReport& a, const CostReport& b);
+/// entries). Returns <0 when `a` is strictly cheaper, 0 on ties, >0
+/// otherwise. Unbounded work saturates to kInf, so any bounded plan beats
+/// every unbounded one.
+int CompareCost(const CostSummary& a, const CostSummary& b);
 
 }  // namespace tabular::analysis
 

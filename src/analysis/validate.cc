@@ -165,44 +165,59 @@ bool Refines(const AbstractDatabase& r, const AbstractDatabase& o,
 
 ValidationReport ValidateTranslation(const Program& original,
                                      const AnalysisResult& original_states,
-                                     const Program& rewritten,
-                                     const AnalysisResult& rewritten_states) {
+                                     const std::vector<Statement>& replacement,
+                                     const SplicedRun& rewritten) {
   const std::vector<Statement>& orig = original.statements;
-  const std::vector<Statement>& rewr = rewritten.statements;
+  const size_t n = orig.size();
+  const size_t index = rewritten.index;
+  const size_t consumed = rewritten.consumed;
+  const size_t rn = n - consumed + replacement.size();
+  auto rewr = [&](size_t k) -> const Statement& {
+    if (k < index) return orig[k];
+    if (k - index < replacement.size()) return replacement[k - index];
+    return orig[rewritten.BaseIndex(k)];
+  };
 
   // The rewrite touched one contiguous top-level region; everything in the
   // longest common structurally-equal prefix and suffix is a sync point
-  // where the abstract states must stay in refinement.
-  size_t prefix = 0;
-  while (prefix < orig.size() && prefix < rewr.size() &&
-         StatementsEqual(orig[prefix], rewr[prefix])) {
+  // where the abstract states must stay in refinement. The splice's own
+  // prefix and suffix are equal by construction; the scans only extend
+  // them over equal statements next to the window.
+  size_t prefix = index;
+  while (prefix < n && prefix < rn &&
+         StatementsEqual(orig[prefix], rewr(prefix))) {
     ++prefix;
   }
-  size_t suffix = 0;
-  while (suffix < orig.size() - prefix && suffix < rewr.size() - prefix &&
-         StatementsEqual(orig[orig.size() - 1 - suffix],
-                         rewr[rewr.size() - 1 - suffix])) {
+  const size_t suffix_limit = std::min(n, rn) - prefix;
+  size_t suffix = std::min(n - index - consumed, suffix_limit);
+  while (suffix < suffix_limit &&
+         StatementsEqual(orig[n - 1 - suffix], rewr(rn - 1 - suffix))) {
     ++suffix;
   }
 
   ValidationReport report;
-  // Prefix sync points (identical statements from identical entry states
-  // give identical abstract states, but checking is cheap and robust),
-  // then the rewritten region's exit, then each suffix statement.
-  for (size_t k = 0; k <= rewr.size(); ++k) {
-    const bool in_region = k > prefix && k < rewr.size() - suffix;
+  // Prefix sync points, then the rewritten region's exit, then each suffix
+  // statement. Before the window and past the re-analyzed span the
+  // rewritten states are the original's own objects, so the scan starts
+  // at the window and ends where neither the span nor the equal-statement
+  // prefix reaches.
+  const size_t last =
+      std::min(rn, std::max(prefix, index + rewritten.span.size()));
+  for (size_t k = index; k <= last; ++k) {
+    const bool in_region = k > prefix && k < rn - suffix;
     if (in_region) continue;  // no corresponding original state
     // Exit always maps to the original's exit — even when the rewritten
     // program is a strict prefix of the original (k ≤ prefix there too).
-    const size_t ok = k == rewr.size()  ? orig.size()
-                      : k <= prefix     ? k
-                                        : orig.size() - (rewr.size() - k);
+    const size_t ok = k == rn      ? n
+                      : k <= prefix ? k
+                                    : n - (rn - k);
+    const AbstractDatabase& r = rewritten.After(original_states, k);
+    const AbstractDatabase& o = original_states.After(ok);
+    if (&r == &o) continue;  // refinement is reflexive
     std::string why;
-    if (!Refines(rewritten_states.After(k), original_states.After(ok),
-                 &why)) {
+    if (!Refines(r, o, &why)) {
       report.certified = false;
-      report.divergent_path =
-          k == rewr.size() ? "exit" : std::to_string(k);
+      report.divergent_path = k == rn ? "exit" : std::to_string(k);
       report.reason =
           "after " + std::to_string(k) + " rewritten statement(s) (original "
           "statement " + std::to_string(ok) + "): " + why;

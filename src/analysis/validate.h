@@ -2,6 +2,7 @@
 #define TABULAR_ANALYSIS_VALIDATE_H_
 
 #include <string>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/shape.h"
@@ -11,8 +12,8 @@ namespace tabular::analysis {
 
 /// Translation validation for program rewrites (the optimizer's safety
 /// net). Instead of trusting each rewrite rule's hand-written soundness
-/// argument, the validator compares the analyzer's state lists of the
-/// original and the rewritten program, both run from a common initial
+/// argument, the validator compares the analyzer's states of the original
+/// and the rewritten program, both run from a common initial
 /// `AbstractDatabase`, and certifies the rewrite only when the rewritten
 /// program's abstract state *refines* the original's at every
 /// synchronization point:
@@ -21,6 +22,11 @@ namespace tabular::analysis {
 ///   * after every top-level statement outside the rewritten region
 ///     (statements the rewrite did not touch — the longest common
 ///     structurally-equal prefix and suffix of the two statement lists).
+///
+/// The rewritten program is a splice of the original (`SplicedRun`), so
+/// only the sync points whose rewritten state the splice re-derived are
+/// compared: at every other one, the rewritten state is the original's
+/// own state object at that sync point, and refinement is reflexive.
 ///
 /// Refinement `R ⊑ O` means every concrete database `R` admits is admitted
 /// by `O`: per table name, may-sets are subsets, must-sets are supersets,
@@ -50,13 +56,14 @@ bool Refines(const TableShape& r, const TableShape& o, std::string* why);
 bool Refines(const AbstractDatabase& r, const AbstractDatabase& o,
              std::string* why);
 
-/// Checks refinement at every sync point (see file comment) over the
-/// top-level states of both programs (`AnalyzeCompleteRun` or
-/// `AnalyzeProgram` of each, from one initial state).
-ValidationReport ValidateTranslation(const lang::Program& original,
-                                     const AnalysisResult& original_states,
-                                     const lang::Program& rewritten,
-                                     const AnalysisResult& rewritten_states);
+/// Checks refinement at every sync point (see file comment) of the
+/// program that splices `replacement` into `original` as `rewritten`
+/// describes (`AnalyzeSplice` over `original_states`, the complete run of
+/// `original`).
+ValidationReport ValidateTranslation(
+    const lang::Program& original, const AnalysisResult& original_states,
+    const std::vector<lang::Statement>& replacement,
+    const SplicedRun& rewritten);
 
 /// Structural equality of statements (used to find the untouched
 /// prefix/suffix; implemented here so the analysis library depends only on

@@ -100,11 +100,45 @@ Status AnnotateStatement(const Status& st, const std::string& path) {
   return Status(st.code(), "statement " + path + ": " + st.message());
 }
 
+using analysis::CardInterval;
+
+/// The symbol handles a table stores: its (height+1)·(width+1) cells.
+uint64_t StoredHandles(const Table& t) {
+  return static_cast<uint64_t>(t.height() + 1) * (t.width() + 1);
+}
+
+/// The handles of `CartesianProduct(r, s)`'s output, saturating: known
+/// before the kernel allocates it.
+uint64_t ProductHandles(const Table& r, const Table& s) {
+  return CardInterval::SatMul(
+      CardInterval::SatAdd(CardInterval::SatMul(r.height(), s.height()), 1),
+      r.width() + s.width() + 1);
+}
+
+/// The handles of the tables named `name`.
+uint64_t HandlesNamed(const TabularDatabase& db, Symbol name) {
+  uint64_t total = 0;
+  for (size_t i : db.IndicesNamed(name)) total += StoredHandles(db.tables()[i]);
+  return total;
+}
+
 }  // namespace
+
+Status Interpreter::CheckHandleBudget(uint64_t staged) const {
+  if (CardInterval::SatAdd(stored_handles_, staged) <=
+      options_.max_stored_handles) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "database would grow past " +
+      std::to_string(options_.max_stored_handles) + " stored handles");
+}
 
 Status Interpreter::Run(const Program& program, TabularDatabase* db) {
   TABULAR_TRACE_SPAN("interpreter.run", "lang");
   steps_ = 0;
+  stored_handles_ = 0;
+  for (const Table& t : db->tables()) stored_handles_ += StoredHandles(t);
   last_commit_path_.clear();
   optimize_stats_ = OptimizeStats{};
   profile_root_ = obs::ProfileNode{};
@@ -193,6 +227,7 @@ Status Interpreter::RunStatements(const std::vector<Statement>& statements,
       if (!names.ok()) return AnnotateStatement(names.status(), path);
       for (Symbol nm : *names) {
         if (!db->IndicesNamed(nm).empty()) last_commit_path_ = path;
+        stored_handles_ -= HandlesNamed(*db, nm);
         db->RemoveNamed(nm);
       }
       if (node != nullptr) {
@@ -266,6 +301,7 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
   // Snapshot: all statements of one instantiation read the pre-statement
   // database state.
   std::vector<Staged> staged;
+  uint64_t staged_handles = 0;
   // Building the generator scans every symbol in the database; only the
   // tagging operations need it.
   std::optional<FreshValueGenerator> gen;
@@ -291,6 +327,8 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
           EvalSingleton(stmt.target, combo.bindings, context));
       TABULAR_ASSIGN_OR_RETURN(
           Table result, algebra::Collapse(group, ToVec(by), target));
+      staged_handles += StoredHandles(result);
+      TABULAR_RETURN_NOT_OK(CheckHandleBudget(staged_handles));
       staged.push_back(Staged{target, std::move(result)});
       continue;
     }
@@ -317,6 +355,7 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
       const Table* second =
           pools.size() > 1 ? pools[1][idx[1]] : nullptr;
       const Table* context = &first;
+      const size_t staged_before = staged.size();
       ++insts;
       rows_in += first.height();
       cols_in += first.width();
@@ -353,6 +392,9 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
           break;
         }
         case OpKind::kProduct: {
+          TABULAR_RETURN_NOT_OK(CheckHandleBudget(
+              CardInterval::SatAdd(staged_handles,
+                                   ProductHandles(first, *second))));
           TABULAR_ASSIGN_OR_RETURN(
               Table r, algebra::CartesianProduct(first, *second, target));
           staged.push_back(Staged{target, std::move(r)});
@@ -461,6 +503,11 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
         }
       }
 
+      for (size_t i = staged_before; i < staged.size(); ++i) {
+        staged_handles += StoredHandles(staged[i].table);
+      }
+      TABULAR_RETURN_NOT_OK(CheckHandleBudget(staged_handles));
+
       // Advance the cross-product indices.
       size_t p = 0;
       for (; p < pools.size(); ++p) {
@@ -475,7 +522,10 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
   SymbolSet produced;
   for (const Staged& s : staged) produced.insert(s.target);
   if (!staged.empty()) last_commit_path_ = path;
-  for (Symbol nm : produced) db->RemoveNamed(nm);
+  for (Symbol nm : produced) {
+    stored_handles_ -= HandlesNamed(*db, nm);
+    db->RemoveNamed(nm);
+  }
   if (node != nullptr) {
     node->invocations += insts;
     node->rows_in += rows_in;
@@ -488,11 +538,7 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
     node->wall_ns += obs::TraceNowNs() - t0;
   }
   for (Staged& s : staged) db->Add(std::move(s.table));
-  if (db->size() > options_.max_tables) {
-    return Status::ResourceExhausted("database grew past " +
-                                     std::to_string(options_.max_tables) +
-                                     " tables");
-  }
+  stored_handles_ += staged_handles;
   return Status::OK();
 }
 

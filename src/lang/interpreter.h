@@ -2,6 +2,7 @@
 #define TABULAR_LANG_INTERPRETER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -25,8 +26,12 @@ struct InterpreterOptions {
   size_t max_while_iterations = 10000;
   /// Maximum assignment-statement instantiations over the whole run.
   size_t max_steps = 1000000;
-  /// Maximum number of tables the database may grow to.
-  size_t max_tables = 100000;
+  /// Maximum symbol handles the database and the statement being executed
+  /// may hold at once: Σ (height+1)·(width+1) over the tables, so a table
+  /// that grows with no data columns counts too. Checked after every
+  /// kernel instantiation, and before a PRODUCT allocates its known
+  /// output; past it the run fails with ResourceExhausted.
+  size_t max_stored_handles = size_t{1} << 28;
   /// Collect a per-statement execution profile during Run (wall time,
   /// instantiation counts, input/output sizes); read it back with
   /// Interpreter::profile() and render with obs::RenderProfile.
@@ -91,8 +96,14 @@ class Interpreter {
   Status RunWhile(const WhileLoop& loop, TabularDatabase* db,
                   const std::string& path, obs::ProfileNode* node);
 
+  /// The ResourceExhausted error once the database plus the `staged`
+  /// handles of the statement in flight would exceed the budget.
+  Status CheckHandleBudget(uint64_t staged) const;
+
   InterpreterOptions options_;
   size_t steps_ = 0;
+  /// Handles the database holds (see `max_stored_handles`).
+  uint64_t stored_handles_ = 0;
   OptimizeStats optimize_stats_;
   obs::ProfileNode profile_root_;
   /// Path of the last statement whose results were committed to the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -763,21 +764,6 @@ namespace {
 /// (applied, rejected or cost-rejected): a divergence guard.
 constexpr size_t kMaxRewrites = 256;
 
-/// `current` with the candidate's window replaced.
-Program ApplyCandidate(const Program& current, const Candidate& cand) {
-  Program rewritten;
-  rewritten.statements.assign(current.statements.begin(),
-                              current.statements.begin() + cand.index);
-  for (const Statement& s : cand.replacement) {
-    rewritten.statements.push_back(s);
-  }
-  rewritten.statements.insert(
-      rewritten.statements.end(),
-      current.statements.begin() + cand.index + cand.consumed,
-      current.statements.end());
-  return rewritten;
-}
-
 RewriteRecord MakeRecord(const Candidate& cand, const Program& current) {
   RewriteRecord record;
   record.rule = cand.rule;
@@ -793,25 +779,99 @@ RewriteRecord MakeRecord(const Candidate& cand, const Program& current) {
 
 /// A plan with its one analysis: the analyzer's states of its top-level
 /// statements feed rule matching, validation and (under `cost_rank`) the
-/// static cost.
+/// static cost, kept as one summary per top-level statement with running
+/// totals from either end.
 struct Plan {
   Program program;
   analysis::AnalysisResult states;
-  analysis::CostReport cost;
+  std::vector<analysis::CostSummary> statement_cost;
+  /// `head[j]`: statements [0, j); `tail[j]`: statements [j, n).
+  std::vector<analysis::CostSummary> head, tail;
+
+  analysis::CostSummary cost() const { return head.back(); }
+
+  void SumCosts() {
+    const size_t n = statement_cost.size();
+    head.assign(n + 1, {});
+    tail.assign(n + 1, {});
+    for (size_t j = 0; j < n; ++j) head[j + 1] = head[j] + statement_cost[j];
+    for (size_t j = n; j-- > 0;) tail[j] = statement_cost[j] + tail[j + 1];
+  }
 };
 
-Plan MakePlan(Program program, analysis::AnalysisResult states,
-              bool cost_rank) {
-  Plan plan{std::move(program), std::move(states), {}};
-  if (cost_rank) plan.cost = analysis::EstimateCost(plan.program, plan.states);
-  return plan;
+/// A candidate scored against the current plan: the states its splice
+/// re-analyzed and, under `cost_rank`, the cost of each statement it
+/// re-analyzed and of the whole plan it would produce.
+struct Scored {
+  Candidate cand;
+  analysis::SplicedRun run;
+  std::vector<analysis::CostSummary> span_cost;
+  analysis::CostSummary cost;
+};
+
+/// Top-level statements the engine runs through the analyzer's transfer
+/// function: its input, unless the caller hands its analysis over, and
+/// each candidate's splice.
+obs::Counter& StatementsAnalyzed() {
+  static obs::Counter& counter =
+      obs::GetCounter("optimizer.statements_analyzed");
+  return counter;
 }
 
-Plan AnalyzePlan(Program program, const AbstractDatabase& initial,
-                 bool cost_rank) {
-  analysis::AnalysisResult states =
-      analysis::AnalyzeCompleteRun(program.statements, initial);
-  return MakePlan(std::move(program), std::move(states), cost_rank);
+Scored Score(Candidate cand, const Plan& current, bool cost_rank) {
+  const std::vector<Statement>& ss = current.program.statements;
+  analysis::SplicedRun run = analysis::AnalyzeSplice(
+      ss, current.states, cand.index, cand.consumed, cand.replacement);
+  StatementsAnalyzed().Add(run.analyzed);
+  Scored scored{std::move(cand), std::move(run), {}, {}};
+  if (!cost_rank) return scored;
+  // The statements the splice ran are the only ones whose states changed:
+  // each is re-costed, and the plan's totals before the window and past
+  // the sync point are reused.
+  const Candidate& c = scored.cand;
+  const analysis::SplicedRun& r = scored.run;
+  analysis::CostSummary span;
+  for (size_t k = c.index; k < c.index + r.analyzed; ++k) {
+    const Statement& s = k < c.index + c.replacement.size()
+                             ? c.replacement[k - c.index]
+                             : ss[r.BaseIndex(k)];
+    span = span + scored.span_cost.emplace_back(analysis::CostOfStatement(
+                      s, k, r.After(current.states, k),
+                      r.After(current.states, k + 1)));
+  }
+  scored.cost = current.head[c.index] + span +
+                current.tail[r.BaseIndex(c.index + r.analyzed)];
+  return scored;
+}
+
+/// The plan `s` produces: `current`'s program with the window replaced,
+/// and its states and statement costs spliced from `current`'s and the
+/// span's.
+Plan ApplyScored(Plan current, Scored s, bool cost_rank) {
+  Candidate& c = s.cand;
+  Plan next;
+  next.program.statements.reserve(current.program.statements.size() -
+                                  c.consumed + c.replacement.size());
+  auto& ss = current.program.statements;
+  auto& out = next.program.statements;
+  std::move(ss.begin(), ss.begin() + c.index, std::back_inserter(out));
+  std::move(c.replacement.begin(), c.replacement.end(),
+            std::back_inserter(out));
+  std::move(ss.begin() + c.index + c.consumed, ss.end(),
+            std::back_inserter(out));
+  if (cost_rank) {
+    const size_t resume = s.run.BaseIndex(c.index + s.run.analyzed);
+    auto& cost = current.statement_cost;
+    next.statement_cost.assign(cost.begin(), cost.begin() + c.index);
+    next.statement_cost.insert(next.statement_cost.end(),
+                               s.span_cost.begin(), s.span_cost.end());
+    next.statement_cost.insert(next.statement_cost.end(),
+                               cost.begin() + resume, cost.end());
+    next.SumCosts();
+  }
+  next.states =
+      analysis::ApplySplice(std::move(current.states), std::move(s.run));
+  return next;
 }
 
 }  // namespace
@@ -820,6 +880,7 @@ Program OptimizeProgram(const Program& program,
                         const AbstractDatabase& initial,
                         const OptimizerOptions& options,
                         OptimizeStats* stats) {
+  StatementsAnalyzed().Add(program.statements.size());
   return OptimizeProgram(
       program, initial,
       analysis::AnalyzeCompleteRun(program.statements, initial), options,
@@ -827,7 +888,7 @@ Program OptimizeProgram(const Program& program,
 }
 
 Program OptimizeProgram(const Program& program,
-                        const AbstractDatabase& initial,
+                        [[maybe_unused]] const AbstractDatabase& initial,
                         analysis::AnalysisResult analyzed,
                         const OptimizerOptions& options,
                         OptimizeStats* stats) {
@@ -839,7 +900,18 @@ Program OptimizeProgram(const Program& program,
       obs::GetCounter("optimizer.rewrites_cost_rejected");
 
   assert(analyzed.before.size() == program.statements.size());
-  Plan current = MakePlan(program, std::move(analyzed), options.cost_rank);
+  assert(analyzed.After(0) == initial);
+  Plan current;
+  current.program = program;
+  current.states = std::move(analyzed);
+  if (options.cost_rank) {
+    const std::vector<Statement>& ss = current.program.statements;
+    for (size_t k = 0; k < ss.size(); ++k) {
+      current.statement_cost.push_back(analysis::CostOfStatement(
+          ss[k], k, current.states.before[k], current.states.After(k + 1)));
+    }
+    current.SumCosts();
+  }
   std::set<std::string> rejected;
   // Cost-rejections live in their own set, scoped to the current plan:
   // losing on cost is relative to the plan at hand, so any applied rewrite
@@ -852,9 +924,9 @@ Program OptimizeProgram(const Program& program,
   // Each round gathers every candidate of the current plan, orders it
   // (static plan cost under `cost_rank`, statement order otherwise), and
   // applies the first survivor; rejected candidates are fingerprinted so
-  // they are proposed at most once per window text and plan. Every plan —
-  // the input and each scored candidate — is analyzed once, and the
-  // winner's analysis carries into the next round.
+  // they are proposed at most once per window text and plan. A candidate
+  // is analyzed, costed and validated only from its window to its sync
+  // point (`AnalyzeSplice`); only the winner becomes a whole plan.
   size_t attempts = 0;
   while (attempts < kMaxRewrites) {
     std::set<std::string> skip = rejected;
@@ -864,23 +936,16 @@ Program OptimizeProgram(const Program& program,
     if (cands.empty()) break;
     if (!options.cost_rank) cands.resize(1);  // first fires, wins
 
-    struct Scored {
-      Candidate cand;
-      Plan plan;
-    };
     std::vector<Scored> scored;
     scored.reserve(cands.size());
     for (Candidate& c : cands) {
-      Plan plan = AnalyzePlan(ApplyCandidate(current.program, c), initial,
-                              options.cost_rank);
-      scored.push_back(Scored{std::move(c), std::move(plan)});
+      scored.push_back(Score(std::move(c), current, options.cost_rank));
     }
     if (options.cost_rank) {
       // Cheapest plan first; ties keep statement order (determinism).
       std::stable_sort(scored.begin(), scored.end(),
                        [](const Scored& a, const Scored& b) {
-                         return analysis::CompareCost(a.plan.cost,
-                                                      b.plan.cost) < 0;
+                         return analysis::CompareCost(a.cost, b.cost) < 0;
                        });
     }
 
@@ -892,9 +957,9 @@ Program OptimizeProgram(const Program& program,
           Fingerprint(s.cand, current.program.statements);
       if (options.cost_rank) {
         record.cost_ranked = true;
-        record.cost_before = current.cost.total_work;
-        record.cost_after = s.plan.cost.total_work;
-        if (analysis::CompareCost(s.plan.cost, current.cost) > 0) {
+        record.cost_before = current.cost().total_work;
+        record.cost_after = s.cost.total_work;
+        if (analysis::CompareCost(s.cost, current.cost()) > 0) {
           // Strictly more expensive plan: lost on cost alone, never sent
           // to the validator.
           cost_rejected_counter.Add(1);
@@ -908,7 +973,7 @@ Program OptimizeProgram(const Program& program,
       bool keep = true;
       if (options.validate_rewrites) {
         analysis::ValidationReport report = analysis::ValidateTranslation(
-            current.program, current.states, s.plan.program, s.plan.states);
+            current.program, current.states, s.cand.replacement, s.run);
         keep = report.certified;
         record.certified = report.certified;
         record.reason = report.reason;
@@ -920,7 +985,8 @@ Program OptimizeProgram(const Program& program,
         applied_counter.Add(1);
         if (stats != nullptr) ++stats->applied;
         if (stats != nullptr) stats->records.push_back(std::move(record));
-        current = std::move(s.plan);
+        current =
+            ApplyScored(std::move(current), std::move(s), options.cost_rank);
         // The plan changed: cost comparisons against the old plan are
         // stale, so its cost-rejections are open for reconsideration.
         cost_rejected.clear();

@@ -118,7 +118,11 @@ struct OptimizerOptions {
 /// rewritten program's abstract state refines the original's at every
 /// untouched statement. `initial` abstracts the database the program will
 /// run against (`AbstractDatabase::FromDatabase(db)` in the interpreter,
-/// `::Unknown()` when the schema is open — fewer rules fire).
+/// `::Unknown()` when the schema is open — fewer rules fire). A candidate
+/// is analyzed, costed and validated only from its window to the first
+/// statement where its state equals the current plan's
+/// (`analysis::AnalyzeSplice`); the `optimizer.statements_analyzed`
+/// counter adds up the statements the engine analyzes.
 Program OptimizeProgram(const Program& program,
                         const analysis::AbstractDatabase& initial,
                         const OptimizerOptions& options = {},

@@ -677,7 +677,7 @@ TEST(CostModelTest, SingleIterationLoopIsCostedOnce) {
 }
 
 TEST(CostModelTest, CompareCostIsLexicographic) {
-  CostReport a, b;
+  CostSummary a, b;
   a.total_work = 10;
   b.total_work = 20;
   EXPECT_LT(CompareCost(a, b), 0);
@@ -688,9 +688,9 @@ TEST(CostModelTest, CompareCostIsLexicographic) {
   EXPECT_LT(CompareCost(a, b), 0);
   b.peak_bytes = 5;
   EXPECT_EQ(CompareCost(a, b), 0);
-  b.statements.emplace_back();
+  b.entries = 1;
   EXPECT_LT(CompareCost(a, b), 0);  // fewer statements breaks the tie
-  b.statements.clear();
+  b.entries = 0;
   b.total_work = CardInterval::kInf;
   EXPECT_LT(CompareCost(a, b), 0);  // any bounded plan beats unbounded
 }

@@ -190,6 +190,95 @@ TEST(InterpreterTest, StepLimitGuards) {
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
 
+// Generated programs 290, 820 and 927 of tests/program_gen.h (seed
+// 0x5EED): each grows the database on every loop iteration and never
+// terminates within the iteration cap.
+constexpr const char* kRunawayPrograms[] = {
+    // A width-0 union: W gains rows but never a data column.
+    R"(while Tags do {
+         A <- purge on {Part, Region} by {_} (Tags);
+         W <- rename Region / Region (A);
+         while Sales do {
+           Tags <- project {Part} (Sales);
+           Tags <- project {Qty, Region} (Tags);
+           Sales <- difference (Sales, Sales);
+         }
+         W <- union (W, A);
+         Sales <- select Qty = Sold (W);
+       })",
+    // A product that doubles Sales.
+    R"(while Sales do {
+         A <- project {Tag, Region} (Tags);
+         Sales <- product (A, Sales);
+         W <- transpose (W);
+         W <- transpose (W);
+       })",
+    // A self-product that squares Tags.
+    R"(while Tags do {
+         while Sales do {
+           B <- switch 'nuts' (Sales);
+           B <- union (B, B);
+           Tags <- product (Tags, Tags);
+           Tags <- select Part = Sold (Tags);
+         }
+         Tags <- difference (Tags, Tags);
+       })",
+};
+
+TEST(InterpreterTest, RunawayGrowthFailsClosedOnTheHandleBudget) {
+  auto grid = io::ParseDatabase(
+      "!Sales | !Part | !Region | !Sold\n"
+      "#      | nuts  | east    | 50\n"
+      "#      | bolts | west    | 60\n"
+      "\n"
+      "!Tags | !Tag\n"
+      "#     | hot\n"
+      "#     | cold\n");
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  for (const char* src : kRunawayPrograms) {
+    SCOPED_TRACE(src);
+    TabularDatabase db = *grid;
+    InterpreterOptions opts;
+    opts.max_stored_handles = 4096;
+    Interpreter interp(opts);
+    Status st = interp.Run(MustParse(src), &db);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_NE(st.message().find("4096 stored handles"), std::string::npos)
+        << st.ToString();
+    // Committed statements stay within the budget.
+    size_t handles = 0;
+    for (const Table& t : db.tables()) {
+      handles += (t.height() + 1) * (t.width() + 1);
+    }
+    EXPECT_LE(handles, 4096u);
+  }
+}
+
+TEST(InterpreterTest, ProductOutputCountsAgainstTheBudget) {
+  // 64 x 64 rows: the output's 4,097 x 3 handles exceed the budget, which
+  // both inputs (65 x 2 handles each) fit easily.
+  std::string r = "!R | !A\n";
+  std::string s = "!S | !B\n";
+  for (int i = 0; i < 64; ++i) {
+    r += "# | " + std::to_string(i) + "\n";
+    s += "# | " + std::to_string(i) + "\n";
+  }
+  auto parsed = io::ParseDatabase(r + "\n" + s);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  TabularDatabase db = std::move(*parsed);
+  InterpreterOptions opts;
+  opts.max_stored_handles = 4096;
+  Interpreter interp(opts);
+  Status st = interp.Run(MustParse("T <- product (R, S);"), &db);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_FALSE(db.HasTableNamed(N("T")));
+
+  // The same product fits a budget that counts its output.
+  opts.max_stored_handles = 2 * 65 * 2 + 4097 * 3;
+  Interpreter roomy(opts);
+  EXPECT_TRUE(roomy.Run(MustParse("T <- product (R, S);"), &db).ok());
+}
+
 TEST(InterpreterTest, TupleNewTagsAreFreshAcrossDatabase) {
   TabularDatabase db;
   db.Add(fixtures::SalesFlat());

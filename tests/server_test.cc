@@ -382,6 +382,41 @@ TEST(ServerTest, FailingProgramsNeverCommit) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+TEST(ServerTest, RunawayGrowthFailsTheRequestNotTheDaemon) {
+  // Generated program 820 of tests/program_gen.h: a product doubles Sales
+  // on every loop iteration. The interpreter's stored-handle budget fails
+  // the request closed instead of growing until the allocator gives up.
+  ServerOptions options;
+  options.interp.max_stored_handles = 1 << 16;
+  LiveServer live(Db("!Sales | !Part  | !Region | !Sold\n"
+                     "#      | nuts   | east    | 50\n"
+                     "#      | bolts  | west    | 60\n"
+                     "\n"
+                     "!Tags | !Tag\n"
+                     "#     | hot\n"
+                     "#     | cold\n"),
+                  std::move(options));
+  Client client = live.Connect();
+  auto run = client.Run(
+      "while Sales do {\n"
+      "  A <- project {Tag, Region} (Tags);\n"
+      "  Sales <- product (A, Sales);\n"
+      "  W <- transpose (W);\n"
+      "  W <- transpose (W);\n"
+      "}\n");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(run.status().message().find("stored handles"), std::string::npos)
+      << run.status().ToString();
+  EXPECT_EQ(live.server->versions().Current().version, 1u);
+  // The session and the daemon keep serving.
+  EXPECT_TRUE(client.Ping().ok());
+  Client other = live.Connect();
+  auto next = other.Run("Parts <- project {Part} (Sales);");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->committed_version, 2u);
+}
+
 TEST(ServerTest, RepeatedProgramsHitTheCompiledProgramCache) {
   LiveServer live;
   Client client = live.Connect();

@@ -11,16 +11,19 @@
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "analysis/cost.h"
 #include "analysis/shape.h"
 #include "analysis/validate.h"
+#include "core/sales_data.h"
 #include "core/symbol.h"
 #include "io/grid_format.h"
 #include "lang/interpreter.h"
 #include "lang/optimizer.h"
 #include "lang/parser.h"
 #include "obs/metrics.h"
+#include "tests/program_gen.h"
 
 namespace tabular::analysis {
 namespace {
@@ -48,13 +51,17 @@ lang::Program Parse(std::string_view src) {
   return program.ok() ? std::move(*program) : lang::Program{};
 }
 
-ValidationReport Validate(std::string_view original,
-                          std::string_view rewritten,
+/// Validates the rewrite of `original` that replaces its statements
+/// [index, index + consumed) with the statements of `replacement`.
+ValidationReport Validate(std::string_view original, size_t index,
+                          size_t consumed, std::string_view replacement,
                           const AbstractDatabase& initial) {
   const lang::Program o = Parse(original);
-  const lang::Program r = Parse(rewritten);
-  return ValidateTranslation(o, AnalyzeCompleteRun(o.statements, initial), r,
-                             AnalyzeCompleteRun(r.statements, initial));
+  const lang::Program r = Parse(replacement);
+  const AnalysisResult states = AnalyzeCompleteRun(o.statements, initial);
+  return ValidateTranslation(
+      o, states, r.statements,
+      AnalyzeSplice(o.statements, states, index, consumed, r.statements));
 }
 
 // -- The refinement relation -------------------------------------------------
@@ -119,10 +126,11 @@ TEST(RefinementTest, DatabaseLevelTopAndNameUnion) {
 TEST(ValidateTranslationTest, CertifiesIdenticalPrograms) {
   AbstractDatabase initial =
       AbstractDatabase::FromDatabase(Db(kSalesFlat));
-  const std::string_view src =
+  // Statement 1 replaced by itself: the plan is unchanged.
+  ValidationReport r = Validate(
       "T <- project {Part} (Sales);\n"
-      "U <- transpose (T);\n";
-  ValidationReport r = Validate(src, src, initial);
+      "U <- transpose (T);\n",
+      0, 1, "T <- project {Part} (Sales);\n", initial);
   EXPECT_TRUE(r.certified) << r.reason;
   EXPECT_TRUE(r.reason.empty());
 }
@@ -136,9 +144,7 @@ TEST(ValidateTranslationTest, RejectsDeliberatelyUnsoundRewrite) {
   ValidationReport r = Validate(
       "T <- project {Part} (Sales);\n"
       "U <- transpose (T);\n",
-      "T <- transpose (Sales);\n"
-      "U <- transpose (T);\n",
-      initial);
+      0, 1, "T <- transpose (Sales);\n", initial);
   EXPECT_FALSE(r.certified);
   EXPECT_FALSE(r.divergent_path.empty());
   EXPECT_NE(r.reason.find("'T'"), std::string::npos) << r.reason;
@@ -148,10 +154,8 @@ TEST(ValidateTranslationTest, RejectsDroppedEffect) {
   AbstractDatabase initial =
       AbstractDatabase::FromDatabase(Db(kSalesFlat));
   // Removing a statement whose effect is visible at exit must not verify.
-  ValidationReport r = Validate(
-      "T <- project {Part} (Sales);\n",
-      "",
-      initial);
+  ValidationReport r =
+      Validate("T <- project {Part} (Sales);\n", 0, 1, "", initial);
   EXPECT_FALSE(r.certified);
   EXPECT_EQ(r.divergent_path, "exit");
 }
@@ -166,12 +170,134 @@ TEST(ValidateTranslationTest, NamesFirstDivergentSyncPoint) {
       "T <- project {Part} (Sales);\n"
       "U <- transpose (Sales);\n"
       "V <- transpose (Sales);\n",
-      "T <- project {Part, Region} (Sales);\n"
-      "U <- transpose (Sales);\n"
-      "V <- transpose (Sales);\n",
-      initial);
+      0, 1, "T <- project {Part, Region} (Sales);\n", initial);
   EXPECT_FALSE(r.certified);
   EXPECT_EQ(r.divergent_path, "1");
+}
+
+// -- The premises of span-local validation ----------------------------------
+
+/// The analyzer's top-level states of each generated program, from `initial`.
+template <typename Visit>
+void ForEachGeneratedRun(const AbstractDatabase& initial, Visit visit) {
+  testgen::ProgramGenerator gen(0x5EED);
+  for (size_t i = 0; i < 1000; ++i) {
+    const lang::Program program = Parse(gen.Program());
+    visit(i, program, AnalyzeCompleteRun(program.statements, initial));
+  }
+}
+
+TEST(SpliceExactnessTest, EveryGeneratedStateRefinesItself) {
+  // The validator skips every sync point whose rewritten state is the
+  // original's own state object; that returns the whole-program verdict
+  // only because refinement is reflexive on every state that occurs.
+  size_t states = 0;
+  for (const AbstractDatabase& initial :
+       {AbstractDatabase::FromDatabase(Db(testgen::kGrid)),
+        AbstractDatabase::Unknown()}) {
+    ForEachGeneratedRun(initial, [&](size_t i, const lang::Program&,
+                                     const AnalysisResult& run) {
+      for (size_t k = 0; k <= run.before.size(); ++k) {
+        std::string why;
+        EXPECT_TRUE(Refines(run.After(k), run.After(k), &why))
+            << "program " << i << ", state " << k << ": " << why;
+        ++states;
+      }
+    });
+  }
+  EXPECT_EQ(states, 11762u);
+}
+
+TEST(SpliceExactnessTest, SplicedStatesEqualAFreshCompleteRun) {
+  // Analysis is a forward function of the state, so a splice analyzed only
+  // up to its sync point has exactly the states of the spliced program
+  // analyzed from scratch. Windows: each statement deleted, and each
+  // statement repeated in place.
+  const AbstractDatabase initial =
+      AbstractDatabase::FromDatabase(Db(testgen::kGrid));
+  size_t synced_early = 0;
+  ForEachGeneratedRun(initial, [&](size_t i, const lang::Program& program,
+                                   const AnalysisResult& run) {
+    const std::vector<lang::Statement>& ss = program.statements;
+    for (size_t w = 0; w < ss.size(); ++w) {
+      for (const bool repeat : {false, true}) {
+        std::vector<lang::Statement> replacement;
+        if (repeat) replacement = {ss[w], ss[w]};
+        const SplicedRun splice =
+            AnalyzeSplice(ss, run, w, 1, replacement);
+        lang::Program spliced;
+        spliced.statements.assign(ss.begin(), ss.begin() + w);
+        spliced.statements.insert(spliced.statements.end(),
+                                  replacement.begin(), replacement.end());
+        spliced.statements.insert(spliced.statements.end(),
+                                  ss.begin() + w + 1, ss.end());
+        const AnalysisResult fresh =
+            AnalyzeCompleteRun(spliced.statements, initial);
+        const size_t n = spliced.statements.size();
+        for (size_t k = 0; k <= n; ++k) {
+          ASSERT_EQ(splice.After(run, k), fresh.After(k))
+              << "program " << i << ", window " << w
+              << (repeat ? " repeated" : " deleted") << ", state " << k;
+        }
+        const AnalysisResult applied = ApplySplice(run, splice);
+        ASSERT_EQ(applied.before, fresh.before) << "program " << i;
+        ASSERT_EQ(applied.final_state, fresh.final_state) << "program " << i;
+        synced_early += splice.analyzed < n - w;
+      }
+    }
+  });
+  EXPECT_GT(synced_early, 0u);
+}
+
+TEST(SpliceExactnessTest, StatementCostsSumToTheProgramCost) {
+  // A candidate's cost is a sum of per-statement summaries, so that sum
+  // must be what costing the whole program ranks by.
+  ForEachGeneratedRun(
+      AbstractDatabase::FromDatabase(Db(testgen::kGrid)),
+      [](size_t i, const lang::Program& program, const AnalysisResult& run) {
+        CostSummary sum;
+        for (size_t k = 0; k < program.statements.size(); ++k) {
+          sum = sum + CostOfStatement(program.statements[k], k, run.before[k],
+                                      run.After(k + 1));
+        }
+        const CostReport whole = EstimateCost(program, run);
+        EXPECT_EQ(sum.total_work, whole.total_work) << "program " << i;
+        EXPECT_EQ(sum.peak_bytes, whole.peak_bytes) << "program " << i;
+        EXPECT_EQ(sum.entries, whole.statements.size()) << "program " << i;
+      });
+}
+
+/// The Figure 1 grouping behind `copies` blocks of certifiably redundant
+/// restructuring (bench_optimizer's `BM_OptimizePass` program).
+std::string RedundantFig1Program(int copies) {
+  std::string src;
+  for (int i = 0; i < copies; ++i) {
+    src += "Sales <- transpose (Sales);\n";
+    src += "Sales <- transpose (Sales);\n";
+    src += "Sales <- select Part = Part (Sales);\n";
+    src += "Sales <- project {Part, Region, Sold} (Sales);\n";
+  }
+  src += "Info2 <- group by {Region} on {Sold} (Sales);\n";
+  return src;
+}
+
+TEST(SpliceExactnessTest, TransfersPerPassStayLinear) {
+  // Every candidate re-analyzes only up to its sync point, so one pass
+  // over fig1 x 16 (65 statements, 48 rewrites) runs at most one transfer
+  // per statement plus one per rewrite, not one per statement for every
+  // candidate.
+  const lang::Program program = Parse(RedundantFig1Program(16));
+  core::TabularDatabase db;
+  db.Add(fixtures::SyntheticSales(8, 4));
+  const uint64_t before = obs::CounterValue("optimizer.statements_analyzed");
+  lang::OptimizeStats stats;
+  lang::OptimizeProgram(program, AbstractDatabase::FromDatabase(db), {},
+                        &stats);
+  const uint64_t analyzed =
+      obs::CounterValue("optimizer.statements_analyzed") - before;
+  EXPECT_EQ(program.statements.size(), 65u);
+  EXPECT_EQ(stats.applied, 48u);
+  EXPECT_LE(analyzed, program.statements.size() + stats.applied);
 }
 
 // -- The rewrite engine: every rule, positive --------------------------------
