@@ -168,17 +168,14 @@ Status Interpreter::Run(const Program& program, TabularDatabase* db) {
 
   // The rewrite engine runs on the analyzed original (gating above sees
   // the user's statement numbering); the rewritten program is what
-  // executes. Each kept rewrite is validator-certified unless
-  // `validate_rewrites` was turned off.
+  // executes. Each kept rewrite is validator-certified.
   const Program* to_run = &program;
   Program optimized;
   if (options_.optimize) {
-    OptimizerOptions opt;
-    opt.validate_rewrites = options_.validate_rewrites;
     optimized = analyzed ? OptimizeProgram(program, initial,
-                                           std::move(*analyzed), opt,
+                                           std::move(*analyzed), {},
                                            &optimize_stats_)
-                         : OptimizeProgram(program, initial, opt,
+                         : OptimizeProgram(program, initial, {},
                                            &optimize_stats_);
     to_run = &optimized;
   }

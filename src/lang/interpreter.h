@@ -46,12 +46,9 @@ struct InterpreterOptions {
   std::function<void(const analysis::Diagnostic&)> on_diagnostic;
   /// Run the translation-validated rewrite engine (`OptimizeProgram`) over
   /// the program before executing it, starting from the abstract image of
-  /// the concrete database. Off by default.
+  /// the concrete database. Every kept rewrite is certified by the
+  /// translation validator. Off by default.
   bool optimize = false;
-  /// With `optimize`: certify each candidate rewrite with the translation
-  /// validator, dropping (and counting) any rewrite it cannot prove. On by
-  /// default — turning this off trusts the rewrite rules outright.
-  bool validate_rewrites = true;
 };
 
 /// Executes tabular-algebra programs against a database (paper §3.6).

@@ -692,12 +692,12 @@ std::optional<Candidate> MatchFilterHoist(const std::vector<Statement>& ss,
 }
 
 /// Every candidate of the current round, in (statement index, rule) order.
-/// Cost-ranked mode re-orders this list by the static cost of the plan
-/// each candidate produces; the legacy first-fires-wins mode takes the
-/// front — for it, the pushdown rules deliberately precede the no-op
-/// rules at the same index to document that a fixed rule order (any fixed
-/// order) can strand the plan in a local optimum: a pushdown consumes the
-/// window a cheaper removal rule needed (see bench_optimizer).
+/// The engine re-orders this list by the static cost of the plan each
+/// candidate produces, and this order only breaks ties. The pushdown rules
+/// precede the no-op rules at the same index, so taking the front of the
+/// list would strand the plan in a local optimum: a pushdown consumes the
+/// window a cheaper removal rule needed. Ranking escapes it (see
+/// bench_optimizer's `ta_residual_selects`).
 std::vector<Candidate> FindCandidates(
     const std::vector<Statement>& ss,
     const std::vector<AbstractDatabase>& before,
@@ -743,11 +743,9 @@ std::string RenderRewriteJson(const RewriteRecord& r, std::string_view file) {
                     "\",\"certified\":" + (r.certified ? "true" : "false") +
                     ",\"before\":\"" + JsonEscape(r.before) +
                     "\",\"after\":\"" + JsonEscape(r.after) + "\"";
-  if (r.cost_ranked) {
-    // Chosen-vs-rejected plan costs (static total work; "∞" = unbounded).
-    out += ",\"cost_before\":\"" + analysis::FormatCost(r.cost_before) +
-           "\",\"cost_after\":\"" + analysis::FormatCost(r.cost_after) + "\"";
-  }
+  // Chosen-vs-rejected plan costs (static total work; "∞" = unbounded).
+  out += ",\"cost_before\":\"" + analysis::FormatCost(r.cost_before) +
+         "\",\"cost_after\":\"" + analysis::FormatCost(r.cost_after) + "\"";
   if (!r.reason.empty()) {
     out += ",\"reason\":\"" + JsonEscape(r.reason) + "\"";
   }
@@ -778,9 +776,9 @@ RewriteRecord MakeRecord(const Candidate& cand, const Program& current) {
 }
 
 /// A plan with its one analysis: the analyzer's states of its top-level
-/// statements feed rule matching, validation and (under `cost_rank`) the
-/// static cost, kept as one summary per top-level statement with running
-/// totals from either end.
+/// statements feed rule matching, validation and the static cost, kept as
+/// one summary per top-level statement with running totals from either
+/// end.
 struct Plan {
   Program program;
   analysis::AnalysisResult states;
@@ -800,8 +798,8 @@ struct Plan {
 };
 
 /// A candidate scored against the current plan: the states its splice
-/// re-analyzed and, under `cost_rank`, the cost of each statement it
-/// re-analyzed and of the whole plan it would produce.
+/// re-analyzed, the cost of each statement it re-analyzed, and the cost of
+/// the whole plan it would produce.
 struct Scored {
   Candidate cand;
   analysis::SplicedRun run;
@@ -818,13 +816,12 @@ obs::Counter& StatementsAnalyzed() {
   return counter;
 }
 
-Scored Score(Candidate cand, const Plan& current, bool cost_rank) {
+Scored Score(Candidate cand, const Plan& current) {
   const std::vector<Statement>& ss = current.program.statements;
   analysis::SplicedRun run = analysis::AnalyzeSplice(
       ss, current.states, cand.index, cand.consumed, cand.replacement);
   StatementsAnalyzed().Add(run.analyzed);
   Scored scored{std::move(cand), std::move(run), {}, {}};
-  if (!cost_rank) return scored;
   // The statements the splice ran are the only ones whose states changed:
   // each is re-costed, and the plan's totals before the window and past
   // the sync point are reused.
@@ -847,7 +844,7 @@ Scored Score(Candidate cand, const Plan& current, bool cost_rank) {
 /// The plan `s` produces: `current`'s program with the window replaced,
 /// and its states and statement costs spliced from `current`'s and the
 /// span's.
-Plan ApplyScored(Plan current, Scored s, bool cost_rank) {
+Plan ApplyScored(Plan current, Scored s) {
   Candidate& c = s.cand;
   Plan next;
   next.program.statements.reserve(current.program.statements.size() -
@@ -859,16 +856,14 @@ Plan ApplyScored(Plan current, Scored s, bool cost_rank) {
             std::back_inserter(out));
   std::move(ss.begin() + c.index + c.consumed, ss.end(),
             std::back_inserter(out));
-  if (cost_rank) {
-    const size_t resume = s.run.BaseIndex(c.index + s.run.analyzed);
-    auto& cost = current.statement_cost;
-    next.statement_cost.assign(cost.begin(), cost.begin() + c.index);
-    next.statement_cost.insert(next.statement_cost.end(),
-                               s.span_cost.begin(), s.span_cost.end());
-    next.statement_cost.insert(next.statement_cost.end(),
-                               cost.begin() + resume, cost.end());
-    next.SumCosts();
-  }
+  const size_t resume = s.run.BaseIndex(c.index + s.run.analyzed);
+  auto& cost = current.statement_cost;
+  next.statement_cost.assign(cost.begin(), cost.begin() + c.index);
+  next.statement_cost.insert(next.statement_cost.end(), s.span_cost.begin(),
+                             s.span_cost.end());
+  next.statement_cost.insert(next.statement_cost.end(), cost.begin() + resume,
+                             cost.end());
+  next.SumCosts();
   next.states =
       analysis::ApplySplice(std::move(current.states), std::move(s.run));
   return next;
@@ -904,14 +899,12 @@ Program OptimizeProgram(const Program& program,
   Plan current;
   current.program = program;
   current.states = std::move(analyzed);
-  if (options.cost_rank) {
-    const std::vector<Statement>& ss = current.program.statements;
-    for (size_t k = 0; k < ss.size(); ++k) {
-      current.statement_cost.push_back(analysis::CostOfStatement(
-          ss[k], k, current.states.before[k], current.states.After(k + 1)));
-    }
-    current.SumCosts();
+  const std::vector<Statement>& ss = current.program.statements;
+  for (size_t k = 0; k < ss.size(); ++k) {
+    current.statement_cost.push_back(analysis::CostOfStatement(
+        ss[k], k, current.states.before[k], current.states.After(k + 1)));
   }
+  current.SumCosts();
   std::set<std::string> rejected;
   // Cost-rejections live in their own set, scoped to the current plan:
   // losing on cost is relative to the plan at hand, so any applied rewrite
@@ -921,12 +914,12 @@ Program OptimizeProgram(const Program& program,
   // (the fingerprint covers the window text, which may be untouched).
   std::set<std::string> cost_rejected;
 
-  // Each round gathers every candidate of the current plan, orders it
-  // (static plan cost under `cost_rank`, statement order otherwise), and
-  // applies the first survivor; rejected candidates are fingerprinted so
-  // they are proposed at most once per window text and plan. A candidate
-  // is analyzed, costed and validated only from its window to its sync
-  // point (`AnalyzeSplice`); only the winner becomes a whole plan.
+  // Each round gathers every candidate of the current plan, orders it by
+  // static plan cost, and applies the first survivor; rejected candidates
+  // are fingerprinted so they are proposed at most once per window text
+  // and plan. A candidate is analyzed, costed and validated only from its
+  // window to its sync point (`AnalyzeSplice`); only the winner becomes a
+  // whole plan.
   size_t attempts = 0;
   while (attempts < kMaxRewrites) {
     std::set<std::string> skip = rejected;
@@ -934,20 +927,17 @@ Program OptimizeProgram(const Program& program,
     std::vector<Candidate> cands = FindCandidates(
         current.program.statements, current.states.before, skip);
     if (cands.empty()) break;
-    if (!options.cost_rank) cands.resize(1);  // first fires, wins
 
     std::vector<Scored> scored;
     scored.reserve(cands.size());
     for (Candidate& c : cands) {
-      scored.push_back(Score(std::move(c), current, options.cost_rank));
+      scored.push_back(Score(std::move(c), current));
     }
-    if (options.cost_rank) {
-      // Cheapest plan first; ties keep statement order (determinism).
-      std::stable_sort(scored.begin(), scored.end(),
-                       [](const Scored& a, const Scored& b) {
-                         return analysis::CompareCost(a.cost, b.cost) < 0;
-                       });
-    }
+    // Cheapest plan first; ties keep statement order (determinism).
+    std::stable_sort(scored.begin(), scored.end(),
+                     [](const Scored& a, const Scored& b) {
+                       return analysis::CompareCost(a.cost, b.cost) < 0;
+                     });
 
     for (Scored& s : scored) {
       if (attempts >= kMaxRewrites) break;
@@ -955,20 +945,17 @@ Program OptimizeProgram(const Program& program,
       RewriteRecord record = MakeRecord(s.cand, current.program);
       const std::string fingerprint =
           Fingerprint(s.cand, current.program.statements);
-      if (options.cost_rank) {
-        record.cost_ranked = true;
-        record.cost_before = current.cost().total_work;
-        record.cost_after = s.cost.total_work;
-        if (analysis::CompareCost(s.cost, current.cost()) > 0) {
-          // Strictly more expensive plan: lost on cost alone, never sent
-          // to the validator.
-          cost_rejected_counter.Add(1);
-          if (stats != nullptr) ++stats->cost_rejected;
-          record.cost_rejected = true;
-          cost_rejected.insert(fingerprint);
-          if (stats != nullptr) stats->records.push_back(std::move(record));
-          continue;
-        }
+      record.cost_before = current.cost().total_work;
+      record.cost_after = s.cost.total_work;
+      if (analysis::CompareCost(s.cost, current.cost()) > 0) {
+        // Strictly more expensive plan: lost on cost alone, never sent to
+        // the validator.
+        cost_rejected_counter.Add(1);
+        if (stats != nullptr) ++stats->cost_rejected;
+        record.cost_rejected = true;
+        cost_rejected.insert(fingerprint);
+        if (stats != nullptr) stats->records.push_back(std::move(record));
+        continue;
       }
       bool keep = true;
       if (options.validate_rewrites) {
@@ -985,8 +972,7 @@ Program OptimizeProgram(const Program& program,
         applied_counter.Add(1);
         if (stats != nullptr) ++stats->applied;
         if (stats != nullptr) stats->records.push_back(std::move(record));
-        current =
-            ApplyScored(std::move(current), std::move(s), options.cost_rank);
+        current = ApplyScored(std::move(current), std::move(s));
         // The plan changed: cost comparisons against the old plan are
         // stale, so its cost-rejections are open for reconsideration.
         cost_rejected.clear();

@@ -63,13 +63,11 @@ struct RewriteRecord {
   /// Validator sync point where refinement first broke ("0" = entry state,
   /// a statement count, or "exit"); empty when certified or unvalidated.
   std::string divergent_at;
-  /// Cost-ranked mode (`OptimizerOptions::cost_rank`): the static total
-  /// work of the current plan and of the plan this rewrite would produce
-  /// (`analysis::CostReport::total_work`; `CardInterval::kInf` =
-  /// unbounded), and whether the candidate lost on cost alone — it would
-  /// have produced a strictly more expensive plan and was never sent to
-  /// the validator.
-  bool cost_ranked = false;
+  /// The static total work of the current plan and of the plan this
+  /// rewrite would produce (`analysis::CostReport::total_work`;
+  /// `CardInterval::kInf` = unbounded), and whether the candidate lost on
+  /// cost alone — it would have produced a strictly more expensive plan
+  /// and was never sent to the validator.
   uint64_t cost_before = 0;
   uint64_t cost_after = 0;
   bool cost_rejected = false;
@@ -77,18 +75,18 @@ struct RewriteRecord {
 
 /// One rewrite attempt as a single-line JSON object for machine-readable
 /// reports (`tabular_lint --json --optimize`): file, rewrite (rule name),
-/// path, the validator verdict ("certified"/"rejected"/"trusted" — the
-/// last when validation was off), before/after texts, and — for
-/// rejections — the validator's reason and divergent_at sync point, so CI
-/// logs explain every `rewrites_rejected` count.
+/// path, the verdict ("certified"/"rejected"/"cost-rejected"/"trusted" —
+/// the last when validation was off), before/after texts, both plan
+/// costs, and — for rejections — the validator's reason and divergent_at
+/// sync point, so CI logs explain every `rewrites_rejected` count.
 std::string RenderRewriteJson(const RewriteRecord& r, std::string_view file);
 
 struct OptimizeStats {
   size_t applied = 0;   ///< rewrites kept (certified, or trusted)
   size_t rejected = 0;  ///< rewrites the validator refused
-  /// Candidates dropped in cost-ranked mode because the plan they produce
-  /// is statically more expensive than the current one (never counted in
-  /// `rejected` — losing on cost is not a soundness failure).
+  /// Candidates dropped because the plan they produce is statically more
+  /// expensive than the current one (never counted in `rejected` — losing
+  /// on cost is not a soundness failure).
   size_t cost_rejected = 0;
   std::vector<RewriteRecord> records;
 };
@@ -99,30 +97,25 @@ struct OptimizerOptions {
   /// and counted in the `optimizer.rewrites_rejected` metric. Turning this
   /// off keeps every candidate on the rules' own soundness arguments.
   bool validate_rewrites = true;
-  /// Rank every candidate of a round by the static cost of the plan it
-  /// produces (`analysis::EstimateCost`) and apply the cheapest one whose
-  /// plan does not regress the current cost; candidates that would make
-  /// the plan strictly more expensive are dropped (`cost_rejected`).
-  /// Turning this off restores the legacy first-fires-wins engine: the
-  /// first rule to match in statement order is applied unconditionally —
-  /// which can strand the plan in a local optimum (see bench_optimizer's
-  /// `ta_cost_win_pct`).
-  bool cost_rank = true;
 };
 
 /// The rule-based rewrite engine. Candidates are proposed by a fixed rule
 /// catalog (see DESIGN.md §9.3) justified by the must-set and cardinality
 /// domains — no-op elimination, drop/assignment reordering, fusion of
 /// adjacent total restructuring operations, and ≤1-iteration while
-/// unrolling — and each is kept only when the validator certifies that the
-/// rewritten program's abstract state refines the original's at every
-/// untouched statement. `initial` abstracts the database the program will
-/// run against (`AbstractDatabase::FromDatabase(db)` in the interpreter,
-/// `::Unknown()` when the schema is open — fewer rules fire). A candidate
-/// is analyzed, costed and validated only from its window to the first
-/// statement where its state equals the current plan's
-/// (`analysis::AnalyzeSplice`); the `optimizer.statements_analyzed`
-/// counter adds up the statements the engine analyzes.
+/// unrolling. Each round ranks every candidate by the static cost of the
+/// plan it produces (`analysis::CompareCost`) and applies the cheapest one
+/// that does not make the plan more expensive and that the validator
+/// certifies: the rewritten program's abstract state refines the
+/// original's at every untouched statement. Candidates that would make the
+/// plan strictly more expensive are dropped (`cost_rejected`). `initial`
+/// abstracts the database the program will run against
+/// (`AbstractDatabase::FromDatabase(db)` in the interpreter, `::Unknown()`
+/// when the schema is open — fewer rules fire). A candidate is analyzed,
+/// costed and validated only from its window to the first statement where
+/// its state equals the current plan's (`analysis::AnalyzeSplice`); the
+/// `optimizer.statements_analyzed` counter adds up the statements the
+/// engine analyzes.
 Program OptimizeProgram(const Program& program,
                         const analysis::AbstractDatabase& initial,
                         const OptimizerOptions& options = {},

@@ -1,9 +1,9 @@
 #include "server/program_cache.h"
 
+#include <map>
 #include <string>
+#include <unordered_set>
 #include <utility>
-#include <variant>
-#include <vector>
 
 #include "analysis/analyzer.h"
 #include "lang/parser.h"
@@ -37,20 +37,6 @@ uint64_t RowBucket(uint64_t rows) {
     rows >>= 1;
   }
   return bucket;
-}
-
-/// Pool names assigned anywhere in `stmts` (recursively through while
-/// bodies). Drop targets are excluded: a drop produces no rows, so its
-/// pool says nothing about the program's output size.
-void CollectWrittenPools(const std::vector<lang::Statement>& stmts,
-                         core::SymbolSet* pools, bool* universal) {
-  for (const lang::Statement& s : stmts) {
-    if (const auto* a = std::get_if<lang::Assignment>(&s.node)) {
-      analysis::CollectParamNames(a->target, pools, universal);
-    } else if (const auto* w = std::get_if<lang::WhileLoop>(&s.node)) {
-      CollectWrittenPools(w->body, pools, universal);
-    }
-  }
 }
 
 /// `shape` with every cardinality interval coarsened (see CoarsenedSchema).
@@ -95,6 +81,26 @@ AbstractDatabase CoarsenedSchema(const core::TabularDatabase& db) {
 
 std::string SchemaFingerprint(const core::TabularDatabase& db) {
   return Fingerprint(AbstractDatabase::FromDatabase(db));
+}
+
+OutputPeaks CreatedTablePeaks(const core::TabularDatabase& before,
+                              const core::TabularDatabase& after) {
+  std::unordered_set<const core::Table*> kept;
+  for (const core::Table& t : before.tables()) kept.insert(&t);
+  std::map<core::Symbol, OutputPeaks, core::SymbolLess> pools;
+  for (const core::Table& t : after.tables()) {
+    if (kept.contains(&t)) continue;
+    OutputPeaks& pool = pools[t.name()];
+    pool.rows += t.height();
+    pool.bytes += static_cast<uint64_t>(t.height()) * t.width() *
+                  analysis::kCostHandleBytes;
+  }
+  OutputPeaks peaks;
+  for (const auto& [name, pool] : pools) {
+    peaks.rows = std::max(peaks.rows, pool.rows);
+    peaks.bytes = std::max(peaks.bytes, pool.bytes);
+  }
+  return peaks;
 }
 
 ProgramCache::ProgramCache(Options options) : options_(options) {}
@@ -142,8 +148,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
   // fingerprint's row-size class (one doubling); the observed feedback on
   // CompiledProgram covers the rest.
   compiled->cost = analysis::EstimateCost(compiled->optimized, exact);
-  CollectWrittenPools(compiled->optimized.statements,
-                      &compiled->written_pools, &compiled->writes_all_pools);
   return compiled;
 }
 

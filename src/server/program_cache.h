@@ -17,7 +17,6 @@
 #include "analysis/shape.h"
 #include "core/database.h"
 #include "core/status.h"
-#include "core/symbol.h"
 #include "lang/ast.h"
 #include "lang/optimizer.h"
 
@@ -50,21 +49,10 @@ struct CompiledProgram {
   /// hot path.
   analysis::CostReport cost;
 
-  /// Pool names the program assigns to (targets of assignment statements,
-  /// recursively through while bodies), collected from `optimized` at
-  /// compile time. `writes_all_pools` is set when some target is a
-  /// wildcard/pair parameter that can denote any name. The session loop
-  /// uses this to measure the program's *own* output after a run — the
-  /// observation fed back below must be commensurate with `cost.peak_rows`
-  /// (a per-written-pool bound), not the whole-database row total, which
-  /// would fold in resident tables the program never touched.
-  core::SymbolSet written_pools;
-  bool writes_all_pools = false;
-
-  /// Adaptive feedback: the largest per-written-pool data-row count (and
-  /// matching byte footprint) any successful run of this entry has
-  /// produced (0 = never run). Written lock-free by session threads after
-  /// execution, read by admission.
+  /// Adaptive feedback: the largest `CreatedTablePeaks` any successful,
+  /// admission-controlled run of this entry has produced (0 = never
+  /// observed). Written lock-free by session threads after execution,
+  /// read by admission.
   mutable std::atomic<uint64_t> observed_rows{0};
   mutable std::atomic<uint64_t> observed_bytes{0};
 
@@ -75,21 +63,20 @@ struct CompiledProgram {
     RecordMax(&observed_bytes, bytes);
   }
 
-  /// The row bound admission compares against `--max-est-rows`: the static
-  /// peak, corrected by observation once the entry has run. Observation
-  /// can shrink an over-estimate (down to twice the largest observed run
-  /// — re-planning headroom) but never below what was actually seen, and
-  /// an unbounded static verdict is never overridden.
+  /// The row bound admission compares against `--max-est-rows`: the
+  /// larger of the static peak and the largest observed run, so a static
+  /// bound that went stale (the database grew within its fingerprint's
+  /// size class) is corrected by what was actually seen. An unbounded
+  /// static verdict stays unbounded.
   uint64_t EffectiveRowEstimate() const {
-    return Blend(cost.peak_rows,
-                 observed_rows.load(std::memory_order_relaxed));
+    return std::max(cost.peak_rows,
+                    observed_rows.load(std::memory_order_relaxed));
   }
 
-  /// Same blend for `--max-est-bytes` against the written-pool byte
-  /// footprint observed after each run.
+  /// The same for `--max-est-bytes`, against the observed byte footprint.
   uint64_t EffectiveByteEstimate() const {
-    return Blend(cost.peak_bytes,
-                 observed_bytes.load(std::memory_order_relaxed));
+    return std::max(cost.peak_bytes,
+                    observed_bytes.load(std::memory_order_relaxed));
   }
 
   const lang::Program& executable() const { return optimized; }
@@ -101,14 +88,22 @@ struct CompiledProgram {
            !slot->compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
     }
   }
-
-  static uint64_t Blend(uint64_t stat, uint64_t seen) {
-    if (stat == analysis::CardInterval::kInf) return stat;
-    if (seen == 0) return stat;
-    return std::max(
-        std::min(stat, analysis::CardInterval::SatMul(seen, 2)), seen);
-  }
 };
+
+/// The output of a run, as admission observes it: per table name, the data
+/// rows and the byte footprint (rows × data columns × `kCostHandleBytes`)
+/// of the tables in `after` that are not `before`'s own objects, and the
+/// largest of each over the names. A table the run did not write is still
+/// the pinned snapshot's own object in the run's private copy (copies of a
+/// database share their tables), so resident tables, and pools named only
+/// by statements that never ran, count for nothing. A program's static
+/// `cost.peak_rows` and `peak_bytes` bound these peaks.
+struct OutputPeaks {
+  uint64_t rows = 0;
+  uint64_t bytes = 0;
+};
+OutputPeaks CreatedTablePeaks(const core::TabularDatabase& before,
+                              const core::TabularDatabase& after);
 
 /// The abstract image a cached compile is certified against: the exact
 /// shapes of `db` with every cardinality interval coarsened to one of

@@ -56,35 +56,6 @@ uint64_t TotalDataRows(const core::TabularDatabase& db) {
   return rows;
 }
 
-/// Peak data rows (and matching byte footprint) over the pools `p`
-/// writes, measured on the post-run database. This is the observation
-/// commensurate with `cost.peak_rows`/`peak_bytes` — both are
-/// per-written-pool bounds — unlike the whole-database row total, which
-/// would fold in resident tables the program never touched and, on any
-/// database larger than the admission limit, permanently reject every
-/// program after its first run.
-void ObservedWrittenPoolPeaks(const CompiledProgram& p,
-                              const core::TabularDatabase& db,
-                              uint64_t* peak_rows, uint64_t* peak_bytes) {
-  std::map<core::Symbol, std::pair<uint64_t, uint64_t>, core::SymbolLess>
-      pools;
-  for (const core::Table& t : db.tables()) {
-    if (!p.writes_all_pools && p.written_pools.count(t.name()) == 0) {
-      continue;
-    }
-    auto& [rows, bytes] = pools[t.name()];
-    rows += t.height();
-    bytes += static_cast<uint64_t>(t.height()) * t.width() *
-             analysis::kCostHandleBytes;
-  }
-  *peak_rows = 0;
-  *peak_bytes = 0;
-  for (const auto& [name, rb] : pools) {
-    *peak_rows = std::max(*peak_rows, rb.first);
-    *peak_bytes = std::max(*peak_bytes, rb.second);
-  }
-}
-
 /// Counter deltas across a profiled execution, as a JSON object keyed by
 /// registry name ({"algebra.group.calls":5,...}). Under concurrent
 /// sessions other requests' operator work leaks into the window; profile
@@ -449,9 +420,11 @@ std::string Server::HandleRun(const std::string& payload,
   // analysis runs on the hot path. Rejection happens before the private
   // copy below, so an over-budget program costs the server nothing but
   // the compile (which negative-caches like any other front-end verdict
-  // would not — admission is re-checked per request, since limits and
-  // observed-rows feedback both move).
-  if (options_.max_est_rows > 0 || options_.max_est_bytes > 0) {
+  // would not — admission is re-checked per request, since the
+  // observed-rows feedback moves).
+  const bool admission =
+      options_.max_est_rows > 0 || options_.max_est_bytes > 0;
+  if (admission) {
     static obs::Counter& admitted =
         obs::GetCounter("server.admission.admitted");
     static obs::Counter& rejected =
@@ -520,15 +493,16 @@ std::string Server::HandleRun(const std::string& payload,
     resp.counters_json = CounterDeltaJson(counters_before);
   }
   audit->rows_out = TotalDataRows(work);
-  // Feed the run's true output size back into the cache entry: admission's
-  // effective estimates tighten toward observation (adaptive re-planning
-  // without recompiling). Measured over the pools the program writes, the
-  // same quantity the static peaks bound.
-  uint64_t observed_rows = 0;
-  uint64_t observed_bytes = 0;
-  ObservedWrittenPoolPeaks(*compiled, work, &observed_rows, &observed_bytes);
-  compiled->RecordObservedRows(observed_rows);
-  compiled->RecordObservedBytes(observed_bytes);
+  // Feed the run's true output size back into the cache entry, so a static
+  // estimate that went stale cannot admit the program again (adaptive
+  // re-planning without recompiling). Measured over the tables the run
+  // created, the same quantity the static peaks bound. Only admission
+  // reads it.
+  if (admission) {
+    const OutputPeaks seen = CreatedTablePeaks(*snap.db, work);
+    compiled->RecordObservedRows(seen.rows);
+    compiled->RecordObservedBytes(seen.bytes);
+  }
   if (req.want_dump) resp.dump = io::SerializeDatabase(work);
   if (req.commit) {
     Result<uint64_t> committed =

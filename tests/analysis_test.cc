@@ -6,7 +6,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string_view>
 
@@ -18,6 +17,7 @@
 #include "io/grid_format.h"
 #include "lang/interpreter.h"
 #include "lang/parser.h"
+#include "tests/soundness.h"
 
 namespace tabular::analysis {
 namespace {
@@ -484,9 +484,7 @@ TEST(AnalysisLatticeTest, CardIntervalSaturatingArithmetic) {
 // -- Concrete runs stay within the abstract bounds ---------------------------
 
 // Every examples/*.ta program, executed for real, must land inside the
-// abstract final state: per table name, attribute may-sets contain the
-// concrete regions, must-sets are contained in them, and the three
-// cardinalities lie inside their intervals.
+// abstract final state (tests/soundness.h).
 TEST(AnalysisSoundnessTest, ExamplesStayWithinAbstractBounds) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(TABULAR_SOURCE_DIR) / "examples";
@@ -511,54 +509,7 @@ TEST(AnalysisSoundnessTest, ExamplesStayWithinAbstractBounds) {
     lang::Interpreter interp;
     ASSERT_TRUE(interp.Run(*program, &*db).ok());
     ++checked;
-
-    std::map<Symbol, size_t, core::SymbolLess> counts;
-    for (const core::Table& t : db->tables()) {
-      const TableShape shape = r.final_state.ShapeOf(t.name());
-      ++counts[t.name()];
-      for (size_t j = 1; j <= t.width(); ++j) {
-        EXPECT_TRUE(shape.cols.MayContain(t.ColumnAttribute(j)))
-            << t.name().ToString() << " col " << j;
-      }
-      for (size_t i = 1; i <= t.height(); ++i) {
-        EXPECT_TRUE(shape.rows.MayContain(t.RowAttribute(i)))
-            << t.name().ToString() << " row " << i;
-      }
-      for (Symbol a : shape.must_cols.elems) {
-        bool found = false;
-        for (size_t j = 1; j <= t.width(); ++j) {
-          found |= t.ColumnAttribute(j) == a;
-        }
-        EXPECT_TRUE(found) << t.name().ToString() << " must col "
-                           << a.ToString();
-      }
-      for (Symbol a : shape.must_rows.elems) {
-        bool found = false;
-        for (size_t i = 1; i <= t.height(); ++i) {
-          found |= t.RowAttribute(i) == a;
-        }
-        EXPECT_TRUE(found) << t.name().ToString() << " must row "
-                           << a.ToString();
-      }
-      EXPECT_TRUE(shape.row_card.Contains(t.height()))
-          << t.name().ToString() << " height " << t.height() << " outside "
-          << shape.row_card.ToString();
-      EXPECT_TRUE(shape.col_card.Contains(t.width()))
-          << t.name().ToString() << " width " << t.width() << " outside "
-          << shape.col_card.ToString();
-    }
-    for (const auto& [name, n] : counts) {
-      EXPECT_TRUE(r.final_state.ShapeOf(name).count.Contains(n))
-          << name.ToString() << " carried by " << n << " tables, outside "
-          << r.final_state.ShapeOf(name).count.ToString();
-    }
-    // Names the abstract state claims certain must really be present.
-    for (const auto& [name, shape] : r.final_state.tables) {
-      if (shape.certain) {
-        EXPECT_TRUE(counts.contains(name))
-            << name.ToString() << " claimed certain but absent";
-      }
-    }
+    EXPECT_TRUE(testing::WithinAbstractState(*db, r.final_state));
   }
   EXPECT_GE(checked, 3u);
 }

@@ -256,10 +256,13 @@ TEST(RewriteJsonGoldenTest, CertifiedRecord) {
   r.before = "T <- select Part = Part (T);";
   r.after = "";
   r.certified = true;
+  r.cost_before = 34;
+  r.cost_after = 17;
   EXPECT_EQ(lang::RenderRewriteJson(r, "p.ta"),
             "{\"file\":\"p.ta\",\"rewrite\":\"select-identity\","
             "\"path\":\"2\",\"verdict\":\"certified\",\"certified\":true,"
-            "\"before\":\"T <- select Part = Part (T);\",\"after\":\"\"}");
+            "\"before\":\"T <- select Part = Part (T);\",\"after\":\"\","
+            "\"cost_before\":\"34\",\"cost_after\":\"17\"}");
 }
 
 TEST(RewriteJsonGoldenTest, RejectedRecordCarriesReasonAndDivergence) {
@@ -275,6 +278,7 @@ TEST(RewriteJsonGoldenTest, RejectedRecordCarriesReasonAndDivergence) {
             "{\"file\":\"p.ta\",\"rewrite\":\"project-superset\","
             "\"path\":\"2\",\"verdict\":\"rejected\",\"certified\":false,"
             "\"before\":\"Sales <- project {Part} (Sales);\",\"after\":\"\","
+            "\"cost_before\":\"0\",\"cost_after\":\"0\","
             "\"reason\":\"state at 'T' is not refined\","
             "\"divergent_at\":\"exit\"}");
 }
@@ -290,7 +294,8 @@ TEST(RewriteJsonGoldenTest, UnvalidatedKeptRecordIsTrusted) {
   EXPECT_EQ(lang::RenderRewriteJson(r, "p.ta"),
             "{\"file\":\"p.ta\",\"rewrite\":\"rename-absent\",\"path\":\"1\","
             "\"verdict\":\"trusted\",\"certified\":false,"
-            "\"before\":\"T <- rename A / B (T);\",\"after\":\"\"}");
+            "\"before\":\"T <- rename A / B (T);\",\"after\":\"\","
+            "\"cost_before\":\"0\",\"cost_after\":\"0\"}");
 }
 
 TEST(RewriteJsonGoldenTest, EndToEndRejectionCarriesValidatorVerdict) {

@@ -588,14 +588,48 @@ TEST(ServerAdmissionTest, ResidentRowsOutsideTheProgramNeverCountAgainstIt) {
   EXPECT_EQ(admitted.Value(), admitted_before + 3);
 }
 
+TEST(ServerAdmissionTest, PoolsNamedOnlyByUnexecutedStatementsAreNotOutput) {
+  // The inner loop's guard names a table that never exists, so its body
+  // never runs and no executed statement writes Archive (6 rows, over the
+  // limit). The static peak is G's 2 rows. Feedback measures the tables a
+  // run created, so Archive's resident rows never count as the program's
+  // output, and every run is admitted.
+  LiveServer live{Db("!Archive | !K\n"
+                     "#        | a\n"
+                     "#        | b\n"
+                     "#        | c\n"
+                     "#        | d\n"
+                     "#        | e\n"
+                     "#        | f\n"
+                     "\n"
+                     "!Tags | !Tag\n"
+                     "#     | hot\n"
+                     "#     | cold\n"),
+                  Admit(/*max_rows=*/5)};
+  Client client = live.Connect();
+  obs::Counter& admitted = obs::GetCounter("server.admission.admitted");
+  const uint64_t admitted_before = admitted.Value();
+  const std::string program =
+      "G <- selectconst Tag = 'hot' (Tags);\n"
+      "while G do {\n"
+      "  while Nope do { Archive <- project {K} (Archive); }\n"
+      "  G <- difference (G, G);\n"
+      "}\n";
+  for (int i = 0; i < 3; ++i) {
+    auto run = client.Run(program, /*commit=*/false);
+    ASSERT_TRUE(run.ok()) << "run " << i << ": " << run.status().ToString();
+  }
+  EXPECT_EQ(admitted.Value(), admitted_before + 3);
+}
+
 TEST(ProgramCacheTest, EffectiveRowEstimateBlendsStaticAndObserved) {
   CompiledProgram p;
   p.cost.peak_rows = 1000;
   EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);  // never run: static bound
   p.RecordObservedRows(10);
-  EXPECT_EQ(p.EffectiveRowEstimate(), 20u);  // 2x headroom over observed
-  p.RecordObservedRows(6);                   // smaller runs never regress it
-  EXPECT_EQ(p.EffectiveRowEstimate(), 20u);
+  EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);  // observed below static
+  p.RecordObservedRows(6);                     // smaller runs never regress it
+  EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);
   p.RecordObservedRows(600);
   EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);  // capped at the static bound
   p.RecordObservedRows(4000);  // observed above static: trust observation
@@ -613,22 +647,27 @@ TEST(ProgramCacheTest, EffectiveByteEstimateBlendsStaticAndObserved) {
   p.cost.peak_bytes = 4000;
   EXPECT_EQ(p.EffectiveByteEstimate(), 4000u);  // never run: static bound
   p.RecordObservedBytes(100);
-  EXPECT_EQ(p.EffectiveByteEstimate(), 200u);  // 2x headroom over observed
+  EXPECT_EQ(p.EffectiveByteEstimate(), 4000u);  // observed below static
   p.RecordObservedBytes(8000);  // observed above static: trust observation
   EXPECT_EQ(p.EffectiveByteEstimate(), 8000u);
 }
 
-TEST(ProgramCacheTest, CompiledEntriesKnowTheirWrittenPools) {
-  ProgramCache cache;
-  auto entry = cache.Get(
-      "T <- project {Part} (Sales);\n"
-      "U <- transpose (T);",
-      Db(kSalesFlat));
-  ASSERT_NE(entry, nullptr);
-  ASSERT_TRUE(entry->front_end.ok()) << entry->front_end.ToString();
-  EXPECT_FALSE(entry->writes_all_pools);
-  EXPECT_EQ(entry->written_pools.count(core::Symbol::Name("T")), 1u);
-  EXPECT_EQ(entry->written_pools.count(core::Symbol::Name("Sales")), 0u);
+TEST(ProgramCacheTest, CreatedTablePeaksCountOnlyTheTablesARunAdded) {
+  const core::TabularDatabase before = Db(kSalesTags);
+  core::TabularDatabase after = before;
+  // Sales (2 rows × 3 columns) stays the snapshot's own table; Tags is
+  // replaced by an equal copy, and a new name carries two tables.
+  const core::Table tags = after.Named(core::Symbol::Name("Tags"))[0];
+  after.RemoveNamed(core::Symbol::Name("Tags"));
+  after.Add(tags);
+  core::Table wide = after.Named(core::Symbol::Name("Sales"))[0];
+  wide.set_name(core::Symbol::Name("Out"));
+  after.Add(wide);
+  after.Add(wide);
+  const OutputPeaks peaks = CreatedTablePeaks(before, after);
+  EXPECT_EQ(peaks.rows, 4u);           // Out: 2 + 2 rows
+  EXPECT_EQ(peaks.bytes, 4u * 3 * 4);  // 4 rows × 3 columns × 4 B
+  EXPECT_EQ(CreatedTablePeaks(before, before).rows, 0u);
 }
 
 // -- Byte identity with the single-shot interpreter --------------------------

@@ -5,8 +5,8 @@
 //     nested while loops, drops, the self-wildcard transpose, and loop
 //     bodies that read a table they just wrote — and renders, per program,
 //     the cost report, the analyzer's final state and diagnostics, and the
-//     rewrite engine's plan and records (cost-ranked and greedy). FNV-1a
-//     digests of 125 programs each pin the whole rendering.
+//     rewrite engine's plan and records. FNV-1a digests of 125 programs
+//     each pin the whole rendering.
 //   * Handing the rewrite engine a pre-computed analysis of its input
 //     yields the same plans and records as letting it analyze the input.
 //   * The loop-mode pin tells the two loop-body modes apart: the
@@ -93,12 +93,10 @@ std::string RenderPlan(const lang::Program& plan,
 }
 
 std::string RenderOptimize(const lang::Program& program,
-                           const AbstractDatabase& initial, bool cost_rank) {
-  lang::OptimizerOptions options;
-  options.cost_rank = cost_rank;
+                           const AbstractDatabase& initial) {
   lang::OptimizeStats stats;
   const lang::Program plan =
-      lang::OptimizeProgram(program, initial, options, &stats);
+      lang::OptimizeProgram(program, initial, {}, &stats);
   return RenderPlan(plan, stats);
 }
 
@@ -110,8 +108,7 @@ std::string RenderStaticStack(const lang::Program& program,
   const AnalysisResult analysis = AnalyzeProgram(program, initial);
   out += "-- analysis\n" + analysis.final_state.ToString();
   out += RenderAll(analysis.diagnostics, "gen");
-  out += "-- optimize (cost-ranked)\n" + RenderOptimize(program, initial, true);
-  out += "-- optimize (greedy)\n" + RenderOptimize(program, initial, false);
+  out += "-- optimize (cost-ranked)\n" + RenderOptimize(program, initial);
   return out;
 }
 
@@ -119,9 +116,9 @@ TEST(StaticStackDigestTest, GeneratedProgramsRenderUnchanged) {
   // A change here means some cost entry, abstract state, diagnostic,
   // plan or rewrite record moved; the failure names the program range.
   constexpr uint64_t kExpected[] = {
-      0x61983309f0216d34ull, 0x3dbd267b60be464full, 0xe10866914e461378ull,
-      0x5727a4546ba62072ull, 0x76ca80cc9b9951e0ull, 0x432673bbd708b8ceull,
-      0x65111b7fcee7e6d6ull, 0x3662f9bfa31a8465ull,
+      0xb113293b4bee285cull, 0xc6b2ba317b384cd5ull, 0x6c95206105e59586ull,
+      0xc650ed18eec066e7ull, 0x47e8c0f35432159eull, 0x66b219b810788f56ull,
+      0xb81bc201dfe85490ull, 0x3eb8a3381c9076b9ull,
   };
   constexpr size_t kChunk = 125;
   const AbstractDatabase initial = StateFor(kGrid);
@@ -155,21 +152,15 @@ TEST(StaticStackHandOffTest, PreAnalyzedInputOptimizesIdentically) {
     const std::string text = gen.Program();
     auto program = lang::ParseProgram(text);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
-    for (const bool cost_rank : {true, false}) {
-      lang::OptimizerOptions options;
-      options.cost_rank = cost_rank;
-      lang::OptimizeStats fresh_stats;
-      const lang::Program fresh =
-          lang::OptimizeProgram(*program, initial, options, &fresh_stats);
-      lang::OptimizeStats handed_stats;
-      const lang::Program handed = lang::OptimizeProgram(
-          *program, initial, AnalyzeProgram(*program, initial), options,
-          &handed_stats);
-      ASSERT_EQ(RenderPlan(fresh, fresh_stats),
-                RenderPlan(handed, handed_stats))
-          << "program " << i << (cost_rank ? " (cost-ranked)" : " (greedy)")
-          << ":\n" << text;
-    }
+    lang::OptimizeStats fresh_stats;
+    const lang::Program fresh =
+        lang::OptimizeProgram(*program, initial, {}, &fresh_stats);
+    lang::OptimizeStats handed_stats;
+    const lang::Program handed = lang::OptimizeProgram(
+        *program, initial, AnalyzeProgram(*program, initial), {},
+        &handed_stats);
+    ASSERT_EQ(RenderPlan(fresh, fresh_stats), RenderPlan(handed, handed_stats))
+        << "program " << i << ":\n" << text;
   }
 }
 
