@@ -23,7 +23,7 @@ Usage:
 
   # Enforce a ceiling (latency regression gates — every entry carrying the
   # counter must stay at or below the bound):
-  check_bench_json.py --json BENCH_server.json --max-counter ta_p99_ms=100
+  check_bench_json.py --json BENCH_server.json --max-counter ta_p99_ms=10
 
 Exit status 0 when every check passes, 1 otherwise.
 """

@@ -54,19 +54,30 @@ SymbolVec DistinctInOrder(const SymbolVec& attrs) {
   return out;
 }
 
-}  // namespace
+/// What GROUP reads of its input before it builds anything. Invalid calls
+/// fail here, with the kernel's error.
+struct GroupLayout {
+  SymbolVec a_attrs;            // distinct 𝒜, in parameter order
+  std::vector<size_t> kept;     // columns in neither 𝒜 nor ℬ
+  std::vector<size_t> b_cols;   // columns labeled in ℬ: one block
 
-Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
-                    const SymbolVec& on_attrs, Symbol result_name) {
-  TABULAR_TRACE_SPAN("group", "algebra");
+  /// The output's size for an input of `m` data rows.
+  OutputSize Size(size_t m) const {
+    return OutputSize{a_attrs.size() + m, kept.size() + m * b_cols.size()};
+  }
+};
+
+Result<GroupLayout> LayOutGroup(const Table& rho, const SymbolVec& by_attrs,
+                                const SymbolVec& on_attrs) {
   if (by_attrs.empty() || on_attrs.empty()) {
     return Status::InvalidArgument("GROUP needs non-empty 'by' and 'on'");
   }
-  const SymbolVec a_attrs = DistinctInOrder(by_attrs);
+  GroupLayout layout;
+  layout.a_attrs = DistinctInOrder(by_attrs);
   const SymbolVec b_attrs = DistinctInOrder(on_attrs);
-  SymbolSet a_set(a_attrs.begin(), a_attrs.end());
+  SymbolSet a_set(layout.a_attrs.begin(), layout.a_attrs.end());
   SymbolSet b_set(b_attrs.begin(), b_attrs.end());
-  for (Symbol a : a_attrs) {
+  for (Symbol a : layout.a_attrs) {
     if (b_set.contains(a)) {
       return Status::InvalidArgument("GROUP 'by' and 'on' overlap at " +
                                      a.ToString());
@@ -78,31 +89,129 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
   }
   SymbolSet drop = a_set;
   drop.insert(b_set.begin(), b_set.end());
-  const std::vector<size_t> kept =
-      ColumnsWithAttrIn(rho, drop, /*complement=*/true);
-  const std::vector<size_t> b_cols =
-      ColumnsWithAttrIn(rho, b_set, /*complement=*/false);
-  if (b_cols.empty()) {
+  layout.kept = ColumnsWithAttrIn(rho, drop, /*complement=*/true);
+  layout.b_cols = ColumnsWithAttrIn(rho, b_set, /*complement=*/false);
+  if (layout.b_cols.empty()) {
     return Status::InvalidArgument("GROUP 'on' attributes label no column");
   }
+  return layout;
+}
+
+/// What MERGE reads of its input's column attributes and 𝒜-rows before it
+/// builds anything. Invalid calls fail here, with the kernel's error.
+struct MergeLayout {
+  SymbolVec a_attrs;  // distinct 𝒜, in parameter order
+  SymbolVec b_attrs;  // distinct ℬ, in parameter order
+  /// occurrences[b]: the columns labeled b_attrs[b]. The k-th occurrence
+  /// of each ℬ-attribute forms block k (paper-gap #4); attributes with
+  /// fewer occurrences read ⊥ in the later blocks.
+  std::vector<std::vector<size_t>> occurrences;
+  size_t nblocks = 0;
+  /// a_rows[a]: the rows supplying the values of the new column a_attrs[a].
+  std::vector<std::vector<size_t>> a_rows;
+  /// Cross product over the 𝒜-row choices (usually a single combination).
+  /// Combination index c decodes to choice[a] = (c / stride[a]) %
+  /// |a_rows[a]| with the first attribute varying fastest, matching the
+  /// serial odometer's emission order.
+  size_t ncombos = 1;
+  std::vector<size_t> stride;
+  std::vector<size_t> kept;  // columns not labeled in ℬ
+
+  /// Whether a data row with row attribute `s` is consumed as an 𝒜-row;
+  /// the others survive. A linear scan: the attribute list is tiny and
+  /// the check runs once per source row.
+  bool Consumed(Symbol s) const {
+    for (Symbol a : a_attrs) {
+      if (a == s) return true;
+    }
+    return false;
+  }
+
+  /// The output's size for an input of `m` data rows: every row that is
+  /// not an 𝒜-row survives, and each emits nblocks · ncombos rows.
+  OutputSize Size(size_t m) const {
+    size_t consumed = 0;
+    for (const std::vector<size_t>& rows : a_rows) consumed += rows.size();
+    return OutputSize{(m - consumed) * nblocks * ncombos,
+                      kept.size() + a_attrs.size() + b_attrs.size()};
+  }
+};
+
+Result<MergeLayout> LayOutMerge(const Table& rho, const SymbolVec& on_attrs,
+                                const SymbolVec& by_attrs) {
+  if (on_attrs.empty() || by_attrs.empty()) {
+    return Status::InvalidArgument("MERGE needs non-empty 'on' and 'by'");
+  }
+  MergeLayout layout;
+  layout.b_attrs = DistinctInOrder(on_attrs);
+  layout.a_attrs = DistinctInOrder(by_attrs);
+  layout.occurrences.resize(layout.b_attrs.size());
+  for (size_t b = 0; b < layout.b_attrs.size(); ++b) {
+    layout.occurrences[b] = rho.ColumnsNamed(layout.b_attrs[b]);
+    layout.nblocks = std::max(layout.nblocks, layout.occurrences[b].size());
+  }
+  if (layout.nblocks == 0) {
+    return Status::InvalidArgument("MERGE 'on' attributes label no column");
+  }
+  const size_t a_n = layout.a_attrs.size();
+  layout.a_rows.resize(a_n);
+  layout.stride.assign(a_n, 1);
+  for (size_t a = 0; a < a_n; ++a) {
+    layout.a_rows[a] = rho.RowsNamed(layout.a_attrs[a]);
+    if (layout.a_rows[a].empty()) {
+      return Status::InvalidArgument("MERGE 'by' attribute " +
+                                     layout.a_attrs[a].ToString() +
+                                     " names no row");
+    }
+    layout.stride[a] = layout.ncombos;
+    layout.ncombos *= layout.a_rows[a].size();
+  }
+  const SymbolSet b_set(layout.b_attrs.begin(), layout.b_attrs.end());
+  layout.kept = ColumnsWithAttrIn(rho, b_set, /*complement=*/true);
+  return layout;
+}
+
+}  // namespace
+
+OutputSize GroupOutputSize(const Table& rho, const SymbolVec& by_attrs,
+                           const SymbolVec& on_attrs) {
+  const Result<GroupLayout> layout = LayOutGroup(rho, by_attrs, on_attrs);
+  return layout.ok() ? layout->Size(rho.height()) : OutputSize{};
+}
+
+OutputSize MergeOutputSize(const Table& rho, const SymbolVec& on_attrs,
+                           const SymbolVec& by_attrs) {
+  const Result<MergeLayout> layout = LayOutMerge(rho, on_attrs, by_attrs);
+  return layout.ok() ? layout->Size(rho.height()) : OutputSize{};
+}
+
+Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
+                    const SymbolVec& on_attrs, Symbol result_name) {
+  TABULAR_TRACE_SPAN("group", "algebra");
+  TABULAR_ASSIGN_OR_RETURN(const GroupLayout layout,
+                           LayOutGroup(rho, by_attrs, on_attrs));
+  const SymbolVec& a_attrs = layout.a_attrs;
+  const std::vector<size_t>& kept = layout.kept;
+  const std::vector<size_t>& b_cols = layout.b_cols;
   const size_t m = rho.height();
   const size_t block = b_cols.size();
   const size_t a_n = a_attrs.size();
+  const OutputSize size = layout.Size(m);
   // Output assembled columnar (DESIGN.md §11). The kept columns are a ⊥-pad
   // of a_n cells plus a chunk-level copy of the source column; each (input
   // row i, on-column c) pair contributes one mostly-⊥ output column whose
   // only materialized cells are its a_n leading 𝒜-values and row i's data
   // entry — lazy chunks keep that O(cells written), not O(height).
-  SymbolVec col_attrs(kept.size() + m * block);
+  SymbolVec col_attrs(size.cols);
   for (size_t c = 0; c < kept.size(); ++c) col_attrs[c] = rho.at(0, kept[c]);
   SymbolVec row_attrs;
-  row_attrs.reserve(a_n + m);
+  row_attrs.reserve(size.rows);
   row_attrs.insert(row_attrs.end(), a_attrs.begin(), a_attrs.end());
   const SymbolVec& src_row_attrs = rho.RowAttrs();
   row_attrs.insert(row_attrs.end(), src_row_attrs.begin(),
                    src_row_attrs.end());
 
-  std::vector<core::Column> data(kept.size() + m * block);
+  std::vector<core::Column> data(size.cols);
   for (size_t c = 0; c < kept.size(); ++c) {
     data[c].AppendNulls(a_n);
     data[c].AppendRange(rho.DataColumn(kept[c]), 0, m);
@@ -151,60 +260,19 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
 Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
                     const SymbolVec& by_attrs, Symbol result_name) {
   TABULAR_TRACE_SPAN("merge", "algebra");
-  if (on_attrs.empty() || by_attrs.empty()) {
-    return Status::InvalidArgument("MERGE needs non-empty 'on' and 'by'");
-  }
-  const SymbolVec b_attrs = DistinctInOrder(on_attrs);
-  const SymbolVec a_attrs = DistinctInOrder(by_attrs);
-  SymbolSet b_set(b_attrs.begin(), b_attrs.end());
-
-  // The k-th occurrence of each ℬ-attribute forms block k (paper-gap #4);
-  // attributes with fewer occurrences read ⊥ in the later blocks.
-  std::vector<std::vector<size_t>> occurrences(b_attrs.size());
-  for (size_t b = 0; b < b_attrs.size(); ++b) {
-    occurrences[b] = rho.ColumnsNamed(b_attrs[b]);
-  }
-  size_t nblocks = 0;
-  for (const auto& occ : occurrences) nblocks = std::max(nblocks, occ.size());
-  if (nblocks == 0) {
-    return Status::InvalidArgument("MERGE 'on' attributes label no column");
-  }
-
-  // Rows supplying the values of the new 𝒜-columns.
-  std::vector<std::vector<size_t>> a_rows(a_attrs.size());
-  for (size_t a = 0; a < a_attrs.size(); ++a) {
-    a_rows[a] = rho.RowsNamed(a_attrs[a]);
-    if (a_rows[a].empty()) {
-      return Status::InvalidArgument("MERGE 'by' attribute " +
-                                     a_attrs[a].ToString() +
-                                     " names no row");
-    }
-  }
-  // 𝒜-name membership by linear scan: the attribute list is tiny and the
-  // check runs once per source row.
-  const auto is_a_name = [&a_attrs](Symbol s) {
-    for (Symbol a : a_attrs) {
-      if (a == s) return true;
-    }
-    return false;
-  };
-
-  const std::vector<size_t> kept =
-      ColumnsWithAttrIn(rho, b_set, /*complement=*/true);
-
+  TABULAR_ASSIGN_OR_RETURN(const MergeLayout layout,
+                           LayOutMerge(rho, on_attrs, by_attrs));
+  const SymbolVec& a_attrs = layout.a_attrs;
+  const SymbolVec& b_attrs = layout.b_attrs;
+  const std::vector<std::vector<size_t>>& occurrences = layout.occurrences;
+  const std::vector<std::vector<size_t>>& a_rows = layout.a_rows;
+  const std::vector<size_t>& stride = layout.stride;
+  const std::vector<size_t>& kept = layout.kept;
+  const size_t nblocks = layout.nblocks;
+  const size_t ncombos = layout.ncombos;
   const size_t a_n = a_attrs.size();
   const size_t b_n = b_attrs.size();
 
-  // Cross product over the 𝒜-row choices (usually a single combination).
-  // Combination index c decodes to choice[a] = (c / stride[a]) % |a_rows[a]|
-  // with the first attribute varying fastest, matching the serial
-  // odometer's emission order.
-  size_t ncombos = 1;
-  std::vector<size_t> stride(a_n, 1);
-  for (size_t a = 0; a < a_n; ++a) {
-    stride[a] = ncombos;
-    ncombos *= a_rows[a].size();
-  }
   // First column of block k (kNoColumn when every ℬ-attribute ran out —
   // impossible by construction of nblocks, but kept for symmetry).
   std::vector<size_t> block_first(nblocks, kNoColumn);
@@ -217,11 +285,11 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
   std::vector<size_t> src;
   src.reserve(rho.height());
   for (size_t i = 1; i <= rho.height(); ++i) {
-    if (!is_a_name(rho.at(i, 0))) src.push_back(i);
+    if (!layout.Consumed(rho.at(i, 0))) src.push_back(i);
   }
 
   const size_t per_src = nblocks * ncombos;
-  const size_t out_rows = src.size() * per_src;
+  const size_t out_rows = layout.Size(rho.height()).rows;
   // Every output row is a (source row, block, 𝒜-choice) triple, nested
   // i outer, k middle, choices inner. Built column-at-a-time (DESIGN.md
   // §11): each output column only ever reads a handful of source columns,
@@ -230,7 +298,7 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
   // independent, so the partition is race-free and byte-identical to the
   // serial path at any thread count.
   SymbolVec col_attrs;
-  col_attrs.reserve(kept.size() + a_n + b_n);
+  col_attrs.reserve(layout.Size(0).cols);
   for (size_t k : kept) col_attrs.push_back(rho.at(0, k));
   for (Symbol a : a_attrs) col_attrs.push_back(a);
   for (Symbol b : b_attrs) col_attrs.push_back(b);

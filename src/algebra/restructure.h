@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "algebra/output_size.h"
 #include "core/status.h"
 #include "core/symbol.h"
 #include "core/table.h"
@@ -41,6 +42,13 @@ using core::Table;
 Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
                     const SymbolVec& on_attrs, Symbol result_name);
 
+/// The size of `Group(rho, by_attrs, on_attrs, ·)`'s output, by the
+/// kernel's own formula: |𝒜| + m rows and k + m·b columns, for m data
+/// rows, k kept columns and b ℬ-columns. 0 rows when the call is invalid
+/// (the kernel reports why).
+OutputSize GroupOutputSize(const Table& rho, const SymbolVec& by_attrs,
+                           const SymbolVec& on_attrs);
+
 /// `T <- MERGE on ℬ by 𝒜 (R)` — the §3.2 example is
 /// `Sales <- MERGE on Sold by Region (Sales)` (Figure 5).
 ///
@@ -55,6 +63,14 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
 /// is emitted per combination (cross product of the 𝒜-row choices).
 Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
                     const SymbolVec& by_attrs, Symbol result_name);
+
+/// The size of `Merge(rho, on_attrs, by_attrs, ·)`'s output, by the
+/// kernel's own formula: s·nblocks·ncombos rows and k + |𝒜| + |ℬ| columns,
+/// for s surviving (non-𝒜) data rows and k kept columns. Finding the
+/// 𝒜-rows scans the row attributes once per 𝒜-attribute. 0 rows when the
+/// call is invalid (the kernel reports why).
+OutputSize MergeOutputSize(const Table& rho, const SymbolVec& on_attrs,
+                           const SymbolVec& by_attrs);
 
 /// `T <- SPLIT on 𝒜 (R)` — §3.2's example `Sales <- SPLIT on Region`.
 ///

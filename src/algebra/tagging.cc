@@ -36,10 +36,10 @@ Result<Table> TupleNew(const Table& rho, Symbol attr,
   return out;
 }
 
-Result<Table> SetNew(const Table& rho, Symbol attr, FreshValueGenerator* gen,
-                     Symbol result_name) {
-  TABULAR_TRACE_SPAN("setnew", "algebra");
-  const size_t m = rho.height();
+namespace {
+
+/// SETNEW's output rows for an input of `m` data rows, or the refusal.
+Result<size_t> SetNewRows(size_t m) {
   if (m > 63) {
     return Status::ResourceExhausted("SETNEW on " + std::to_string(m) +
                                      " rows: subset space too large");
@@ -52,6 +52,21 @@ Result<Table> SetNew(const Table& rho, Symbol attr, FreshValueGenerator* gen,
         "SETNEW would create " + std::to_string(total) + " rows (cap " +
         std::to_string(kMaxSetNewRows) + ")");
   }
+  return total;
+}
+
+}  // namespace
+
+OutputSize SetNewOutputSize(const Table& rho) {
+  const Result<size_t> rows = SetNewRows(rho.height());
+  return OutputSize{rows.ok() ? *rows : 0, rho.width() + 1};
+}
+
+Result<Table> SetNew(const Table& rho, Symbol attr, FreshValueGenerator* gen,
+                     Symbol result_name) {
+  TABULAR_TRACE_SPAN("setnew", "algebra");
+  const size_t m = rho.height();
+  TABULAR_RETURN_NOT_OK(SetNewRows(m).status());
   Table out(1, rho.num_cols() + 1);
   out.set_name(result_name);
   for (size_t j = 1; j < rho.num_cols(); ++j) out.set(0, j, rho.at(0, j));

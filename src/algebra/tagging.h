@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "algebra/output_size.h"
 #include "core/status.h"
 #include "core/symbol.h"
 #include "core/table.h"
@@ -56,6 +57,11 @@ Result<Table> TupleNew(const Table& rho, Symbol attr,
 /// ResourceExhausted beyond `kMaxSetNewRows`.
 Result<Table> SetNew(const Table& rho, Symbol attr, FreshValueGenerator* gen,
                      Symbol result_name);
+
+/// The size of `SetNew(rho, ·, ·, ·)`'s output, by the kernel's own
+/// formula: m·2^(m−1) rows and one column more than `rho`. 0 rows when
+/// the kernel refuses the call (the kernel reports why).
+OutputSize SetNewOutputSize(const Table& rho);
 
 }  // namespace tabular::algebra
 

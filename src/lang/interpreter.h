@@ -29,8 +29,9 @@ struct InterpreterOptions {
   /// Maximum symbol handles the database and the statement being executed
   /// may hold at once: Σ (height+1)·(width+1) over the tables, so a table
   /// that grows with no data columns counts too. Checked after every
-  /// kernel instantiation, and before a PRODUCT allocates its known
-  /// output; past it the run fails with ResourceExhausted.
+  /// kernel instantiation, and before a PRODUCT, GROUP, MERGE or SETNEW
+  /// allocates its output, whose size the kernel's own formula gives;
+  /// past it the run fails with ResourceExhausted.
   size_t max_stored_handles = size_t{1} << 28;
   /// Collect a per-statement execution profile during Run (wall time,
   /// instantiation counts, input/output sizes); read it back with
