@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -29,6 +28,7 @@
 #include "server/program_cache.h"
 #include "tests/program_gen.h"
 #include "tests/soundness.h"
+#include "tests/test_util.h"
 
 namespace tabular::lang {
 namespace {
@@ -36,18 +36,11 @@ namespace {
 using core::TabularDatabase;
 using testgen::kGrid;
 using testgen::ProgramGenerator;
+using testing::TablesUpToOrder;
 
 /// Far above what the terminating generated programs store, and small
 /// enough that the runaway ones fail within milliseconds.
 constexpr size_t kHandleBudget = size_t{1} << 20;
-
-/// Each table serialized, in sorted order: the database up to table order.
-std::vector<std::string> TablesUpToOrder(const TabularDatabase& db) {
-  std::vector<std::string> out;
-  for (const core::Table& t : db.tables()) out.push_back(io::Serialize(t));
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 Status RunOn(const Program& program, bool optimize, TabularDatabase* db,
              OptimizeStats* stats = nullptr) {

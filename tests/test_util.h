@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/compare.h"
+#include "core/database.h"
 #include "core/symbol.h"
 #include "core/table.h"
+#include "io/grid_format.h"
 
 namespace tabular::testing {
 
@@ -31,6 +37,16 @@ inline ::testing::AssertionResult TablesEquivalent(const core::Table& a,
   EXPECT_TRUE(::tabular::testing::TablesEquivalent((a), (b)))
 #define ASSERT_TABLE_EQUIV(a, b) \
   ASSERT_TRUE(::tabular::testing::TablesEquivalent((a), (b)))
+
+/// Each table serialized, in sorted order: the database byte for byte up
+/// to table order.
+inline std::vector<std::string> TablesUpToOrder(
+    const core::TabularDatabase& db) {
+  std::vector<std::string> out;
+  for (const core::Table& t : db.tables()) out.push_back(io::Serialize(t));
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 #define EXPECT_TABLE_EXACT(a, b)                                         \
   EXPECT_TRUE((a) == (b)) << "exact table mismatch.\nleft:\n"            \
