@@ -3,15 +3,17 @@
 //      subsumption scan the definition literally suggests (quadratic).
 //   2. Select: the single-column fast path vs the general weak-set
 //      comparison.
-//   3. Translated programs: with vs without the optimizer's scratch drops
+//   3. Translated programs: with vs without the translator's scratch drops
 //      (database growth is what the drops buy back).
 
 #include <benchmark/benchmark.h>
 
+#include <variant>
+#include <vector>
+
 #include "algebra/ops.h"
 #include "core/sales_data.h"
 #include "lang/interpreter.h"
-#include "lang/optimizer.h"
 #include "relational/canonical.h"
 #include "schemalog/parser.h"
 #include "schemalog/translate.h"
@@ -19,7 +21,6 @@
 namespace {
 
 using tabular::core::Symbol;
-using tabular::core::SymbolSet;
 using tabular::core::Table;
 
 Symbol S(const char* s) { return Symbol::Name(s); }
@@ -95,9 +96,23 @@ void BM_SelectGeneralWeakSetPath(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectGeneralWeakSetPath)->Range(512, 32768);
 
-// -- 3. Translated programs: optimizer on/off --------------------------------
+// -- 3. Translated programs: scratch drops on/off ----------------------------
 
-void RunTranslatedSlog(benchmark::State& state, bool optimize) {
+/// `statements` without its drop statements, inside while bodies too.
+std::vector<tabular::lang::Statement> WithoutDrops(
+    const std::vector<tabular::lang::Statement>& statements) {
+  std::vector<tabular::lang::Statement> out;
+  for (const tabular::lang::Statement& s : statements) {
+    if (std::holds_alternative<tabular::lang::DropStatement>(s.node)) continue;
+    out.push_back(s);
+    if (auto* w = std::get_if<tabular::lang::WhileLoop>(&out.back().node)) {
+      w->body = WithoutDrops(w->body);
+    }
+  }
+  return out;
+}
+
+void RunTranslatedSlog(benchmark::State& state, bool drops) {
   auto slog = tabular::slog::ParseSlogProgram(
       "copy[?T: ?A -> ?V] :- edge[?T: ?A -> ?V].");
   auto ta = tabular::slog::TranslateSlogToTabular(*slog);
@@ -106,10 +121,7 @@ void RunTranslatedSlog(benchmark::State& state, bool optimize) {
     return;
   }
   tabular::lang::Program program = ta->program;
-  if (optimize) {
-    program = tabular::lang::OptimizeTranslated(
-        program, SymbolSet{tabular::slog::SlogFactsName()});
-  }
+  if (!drops) program.statements = WithoutDrops(program.statements);
   tabular::rel::RelationalDatabase rdb;
   tabular::rel::Relation edge(S("edge"), {S("from"), S("to")});
   for (int i = 0; i < state.range(0); ++i) {
@@ -137,15 +149,17 @@ void RunTranslatedSlog(benchmark::State& state, bool optimize) {
   state.SetItemsProcessed(state.iterations() * edb.size());
 }
 
-void BM_TranslatedSlogUnoptimized(benchmark::State& state) {
-  RunTranslatedSlog(state, false);
-}
-BENCHMARK(BM_TranslatedSlogUnoptimized)->Arg(32)->Arg(128);
-
-void BM_TranslatedSlogOptimized(benchmark::State& state) {
+/// The program as the translator emits it.
+void BM_TranslatedSlog(benchmark::State& state) {
   RunTranslatedSlog(state, true);
 }
-BENCHMARK(BM_TranslatedSlogOptimized)->Arg(32)->Arg(128);
+BENCHMARK(BM_TranslatedSlog)->Arg(32)->Arg(128);
+
+/// The same program with every drop stripped: all scratch stays behind.
+void BM_TranslatedSlogWithoutDrops(benchmark::State& state) {
+  RunTranslatedSlog(state, false);
+}
+BENCHMARK(BM_TranslatedSlogWithoutDrops)->Arg(32)->Arg(128);
 
 }  // namespace
 

@@ -72,6 +72,7 @@ void RunTranslated(benchmark::State& state, const char* program_text,
     state.SkipWithError(ta.status().ToString().c_str());
     return;
   }
+  size_t final_tables = 0;
   for (auto _ : state) {
     tabular::core::TabularDatabase tdb;
     tdb.Add(tabular::rel::RelationToTable(
@@ -80,8 +81,10 @@ void RunTranslated(benchmark::State& state, const char* program_text,
     tabular::lang::Interpreter interp;
     tabular::Status st = interp.Run(ta->program, &tdb);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    final_tables = tdb.size();
     benchmark::DoNotOptimize(tdb);
   }
+  state.counters["final_tables"] = static_cast<double>(final_tables);
   state.SetItemsProcessed(state.iterations() * edb.size());
 }
 

@@ -77,9 +77,9 @@ int main() {
   // column permutations — the paper's notion of database equality.
   auto identity = tabular::rel::CanonicalDecode(*rep);
   if (!identity.ok()) return Fail(identity.status());
+  const bool same = tabular::core::EquivalentDatabases(db, *identity);
   std::printf("Identity round trip P_Rep⁻ ∘ P_Rep: %s\n",
-              tabular::core::EquivalentDatabases(db, *identity)
-                  ? "database recovered exactly (up to permutation)"
-                  : "MISMATCH (bug!)");
-  return 0;
+              same ? "database recovered exactly (up to permutation)"
+                   : "MISMATCH (bug!)");
+  return same ? 0 : 1;
 }

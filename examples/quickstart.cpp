@@ -78,8 +78,8 @@ int main() {
 
   std::printf("The same result computed by the TA program:\n%s",
               tabular::io::PrettyPrint(db.Named(kSales)[0]).c_str());
+  const bool same = db.Named(kSales)[0] == *pivoted;
   std::printf("\nKernel result and program result %s.\n",
-              db.Named(kSales)[0] == *pivoted ? "match exactly"
-                                              : "DIFFER (bug!)");
-  return 0;
+              same ? "match exactly" : "DIFFER (bug!)");
+  return same ? 0 : 1;
 }

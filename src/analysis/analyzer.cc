@@ -1067,7 +1067,7 @@ class Analyzer {
 /// Dead-store warnings over the top-level statement list.
 void DiagnoseDeadStores(const Program& program,
                         std::vector<Diagnostic>* sink) {
-  std::vector<bool> keep = DeadStoreKeepMask(program, AllTableNames(program));
+  std::vector<bool> keep = DeadStoreKeepMask(program);
   for (size_t i = 0; i < program.statements.size(); ++i) {
     if (keep[i]) continue;
     const auto* a = std::get_if<Assignment>(&program.statements[i].node);
@@ -1291,9 +1291,10 @@ SymbolSet AllTableNames(const Program& program) {
   return out;
 }
 
-std::vector<bool> DeadStoreKeepMask(const Program& program,
-                                    const SymbolSet& live_out) {
-  SymbolSet live = live_out;
+std::vector<bool> DeadStoreKeepMask(const Program& program) {
+  // Every name is live at exit, so a store is dead only when a later
+  // statement kills it before any read.
+  SymbolSet live = AllTableNames(program);
   bool universal_live = false;
   std::vector<bool> keep(program.statements.size(), true);
 

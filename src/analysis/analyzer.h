@@ -171,14 +171,13 @@ void CollectStatementNames(const lang::Statement& s, core::SymbolSet* out,
 /// Every table name the program mentions (reads, writes, drops).
 core::SymbolSet AllTableNames(const lang::Program& program);
 
-/// The dead-store fact: `mask[i]` is false when top-level statement i is
-/// an assignment whose target cannot influence any `live_out` table — no
-/// later statement reads it before it is fully reassigned. This is the
-/// exact removal criterion of `lang::EliminateDeadStores`; the analyzer's
-/// dead-store *warnings* use `live_out = AllTableNames(program)`, which
-/// narrows the fact to "overwritten before any read".
-std::vector<bool> DeadStoreKeepMask(const lang::Program& program,
-                                    const core::SymbolSet& live_out);
+/// The dead-store fact behind the analyzer's dead-store warnings:
+/// `mask[i]` is false when top-level statement i is an assignment whose
+/// target is fully reassigned, or dropped, before any later statement
+/// reads it. Conservative around wildcards (a wildcard argument reads
+/// every table) and while loops (the body's reads stay live across the
+/// whole loop).
+std::vector<bool> DeadStoreKeepMask(const lang::Program& program);
 
 }  // namespace tabular::analysis
 

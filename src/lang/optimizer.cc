@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -21,136 +20,11 @@ namespace tabular::lang {
 using core::Symbol;
 using core::SymbolSet;
 
-// The name-flow collectors live in the analysis library now (the static
+// The name-flow collectors live in the analysis library (the static
 // analyzer's dead-store diagnostics share them).
 using analysis::CollectParamNames;
 using analysis::CollectStatementNames;
 using analysis::CollectStatementReads;
-
-Program EliminateDeadStores(const Program& program,
-                            const SymbolSet& live_out) {
-  std::vector<bool> keep = analysis::DeadStoreKeepMask(program, live_out);
-  Program out;
-  for (size_t i = 0; i < program.statements.size(); ++i) {
-    if (keep[i]) out.statements.push_back(program.statements[i]);
-  }
-  return out;
-}
-
-bool IsTranslatorScratchName(Symbol name) {
-  if (!name.is_name()) return false;
-  const std::string& t = name.text();
-  return t.rfind("fo_tmp", 0) == 0 || t.rfind("fo_const", 0) == 0 ||
-         t.rfind("sl_", 0) == 0 || t.rfind("good_", 0) == 0;
-}
-
-namespace {
-
-/// True if the list's first reference to `name` fully (re)writes it — the
-/// condition under which a drop at the end of a while body is safe across
-/// iterations.
-bool FirstReferenceIsWrite(const std::vector<Statement>& list, Symbol name) {
-  for (const Statement& s : list) {
-    SymbolSet names;
-    bool universal = false;
-    CollectStatementNames(s, &names, &universal);
-    if (universal) return false;
-    if (!names.contains(name)) continue;
-    const auto* a = std::get_if<Assignment>(&s.node);
-    if (a == nullptr) return false;
-    SymbolSet writes;
-    bool uw = false;
-    CollectParamNames(a->target, &writes, &uw);
-    if (uw || writes.size() != 1 || *writes.begin() != name) return false;
-    SymbolSet reads;
-    bool ur = false;
-    CollectStatementReads(s, &reads, &ur);
-    return !ur && !reads.contains(name);
-  }
-  return false;
-}
-
-/// Inserts drops into `list` for scratch names not in `forbidden`, placing
-/// each after its last reference; recurses into while bodies for names
-/// confined to a single loop (when iteration-safe). Returns false if a
-/// universal (wildcard) table reference makes lifetimes unboundable.
-bool InsertDropsInList(std::vector<Statement>* list,
-                       const std::function<bool(Symbol)>& is_scratch,
-                       const SymbolSet& forbidden) {
-  std::map<Symbol, std::vector<size_t>, core::SymbolLess> refs;
-  for (size_t i = 0; i < list->size(); ++i) {
-    SymbolSet names;
-    bool universal = false;
-    CollectStatementNames((*list)[i], &names, &universal);
-    if (universal) return false;
-    for (Symbol nm : names) refs[nm].push_back(i);
-  }
-
-  // Names fully handled inside a loop body need no drop at this level.
-  SymbolSet handled_inside;
-  for (size_t i = 0; i < list->size(); ++i) {
-    auto* w = std::get_if<WhileLoop>(&(*list)[i].node);
-    if (w == nullptr) continue;
-    SymbolSet body_forbidden = forbidden;
-    bool cond_universal = false;
-    CollectParamNames(w->condition, &body_forbidden, &cond_universal);
-    if (cond_universal) return false;
-    for (const auto& [nm, idxs] : refs) {
-      bool confined = idxs.size() == 1 && idxs[0] == i;
-      // The loop condition is read after each body pass and may never be
-      // dropped inside (it is already in body_forbidden).
-      if (!confined || !is_scratch(nm) || forbidden.contains(nm) ||
-          body_forbidden.contains(nm)) {
-        body_forbidden.insert(nm);
-        continue;
-      }
-      if (!FirstReferenceIsWrite(w->body, nm)) {
-        body_forbidden.insert(nm);
-        continue;
-      }
-      handled_inside.insert(nm);
-    }
-    if (!InsertDropsInList(&w->body, is_scratch, body_forbidden)) {
-      return false;
-    }
-  }
-
-  std::vector<Statement> out;
-  for (size_t i = 0; i < list->size(); ++i) {
-    out.push_back(std::move((*list)[i]));
-    for (const auto& [nm, idxs] : refs) {
-      if (idxs.back() != i || !is_scratch(nm) || forbidden.contains(nm) ||
-          handled_inside.contains(nm)) {
-        continue;
-      }
-      DropStatement drop;
-      drop.target = Param::Literal(nm);
-      Statement s;
-      s.node = std::move(drop);
-      out.push_back(std::move(s));
-    }
-  }
-  *list = std::move(out);
-  return true;
-}
-
-}  // namespace
-
-Program InsertScratchDrops(
-    const Program& program,
-    const std::function<bool(Symbol)>& is_scratch) {
-  Program out = program;
-  if (!InsertDropsInList(&out.statements, is_scratch, SymbolSet{})) {
-    return program;  // wildcard table references: lifetimes unboundable
-  }
-  return out;
-}
-
-Program OptimizeTranslated(const Program& program,
-                           const SymbolSet& live_out) {
-  Program trimmed = EliminateDeadStores(program, live_out);
-  return InsertScratchDrops(trimmed, IsTranslatorScratchName);
-}
 
 // -- The translation-validated rewrite engine --------------------------------
 

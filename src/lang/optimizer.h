@@ -1,7 +1,6 @@
 #ifndef TABULAR_LANG_OPTIMIZER_H_
 #define TABULAR_LANG_OPTIMIZER_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,43 +11,12 @@
 
 namespace tabular::lang {
 
-/// Program optimization — flagged by the paper (§5: "Query (and program)
-/// optimization is an important issue") and essential for the generated
-/// programs of the Theorem 4.1 / 4.5 / GOOD translations, which produce
-/// long chains of single-use scratch tables.
-///
-/// Both passes are *semantics-preserving with respect to a declared output
-/// set*: the database restricted to `live_out` names after the optimized
-/// run equals (table for table) the database restricted to those names
-/// after the original run.
-
-/// Removes assignments whose target can never influence a `live_out`
-/// table: a store to T is dead if no later statement reads T before T is
-/// fully reassigned, and T is not in `live_out`. Conservative around
-/// wildcards (a wildcard argument reads every table, a wildcard target
-/// writes every table) and around while loops (the body's reads stay live
-/// across the whole loop).
-Program EliminateDeadStores(const Program& program,
-                            const core::SymbolSet& live_out);
-
-/// Inserts `drop T;` after the last statement referencing each scratch
-/// table T accepted by `is_scratch`, so translated programs do not leave
-/// their intermediates behind (smaller database, faster wildcard scans,
-/// cheaper symbol sweeps). Only top-level positions are considered; names
-/// referenced anywhere inside a while loop are dropped after the loop at
-/// the earliest.
-Program InsertScratchDrops(
-    const Program& program,
-    const std::function<bool(core::Symbol)>& is_scratch);
-
-/// True for the scratch-name prefixes used by the built-in translators
-/// ("fo_tmp", "fo_const", "sl_", "good_").
-bool IsTranslatorScratchName(core::Symbol name);
-
-/// The standard pipeline for translated programs: dead-store elimination
-/// against `live_out`, then scratch drops for translator temporaries.
-Program OptimizeTranslated(const Program& program,
-                           const core::SymbolSet& live_out);
+/// Program optimization, flagged by the paper (§5: "Query (and program)
+/// optimization is an important issue"): one certified rewrite engine,
+/// `OptimizeProgram`, for every program. The generated programs of the
+/// Theorem 4.1 / 4.5 / GOOD translations need no pass of their own: the
+/// translator drops each scratch table after its last use
+/// (`rel::TranslateFoToTabular`).
 
 // -- The translation-validated rewrite engine (PR 5) -------------------------
 

@@ -1,5 +1,6 @@
 #include "relational/fo_while.h"
 
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -239,7 +240,9 @@ using lang::OpKind;
 using lang::Param;
 using lang::Statement;
 
-/// Emits tabular statements computing `e` into a table named `out`.
+/// Emits tabular statements computing `e` into a table named `out`, and
+/// drops every table it introduces once nothing reads it again, so a run
+/// leaves exactly the relations the FO program computes.
 class FoTranslator {
  public:
   Symbol FreshScratch() {
@@ -249,6 +252,23 @@ class FoTranslator {
   void Emit(Assignment a, std::vector<Statement>* sink) {
     Statement s;
     s.node = std::move(a);
+    sink->push_back(std::move(s));
+  }
+
+  /// Emits `a`, then drops the scratch tables it reads. Each `fo_tmp` has
+  /// exactly one reader, `a`; inside a while body the body rewrites it
+  /// before that read on every pass, so the drop is safe there too.
+  void EmitReading(Assignment a, std::initializer_list<Symbol> scratch,
+                   std::vector<Statement>* sink) {
+    Emit(std::move(a), sink);
+    for (Symbol t : scratch) EmitDrop(t, sink);
+  }
+
+  void EmitDrop(Symbol t, std::vector<Statement>* sink) {
+    lang::DropStatement d;
+    d.target = Param::Literal(t);
+    Statement s;
+    s.node = std::move(d);
     sink->push_back(std::move(s));
   }
 
@@ -309,6 +329,13 @@ class FoTranslator {
         a.params.push_back(Param::Wildcard(9));
         a.args.push_back(Param::Literal(cname));
         Emit(std::move(a), sink);
+        // A copy in a loop body runs on every pass: the prelude table
+        // must outlive the enclosing top-level while.
+        if (loop_depth_ == 0) {
+          EmitDrop(cname, sink);
+        } else {
+          loop_consts_.push_back(cname);
+        }
         return Status::OK();
       }
       case RelExpr::Kind::kSelect: {
@@ -320,7 +347,7 @@ class FoTranslator {
         a.params.push_back(Param::Literal(e.a));
         a.params.push_back(Param::Literal(e.b));
         a.args.push_back(Param::Literal(sub));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {sub}, sink);
         return Status::OK();
       }
       case RelExpr::Kind::kSelectConst: {
@@ -332,7 +359,7 @@ class FoTranslator {
         a.params.push_back(Param::Literal(e.a));
         a.params.push_back(Param::Literal(e.v));
         a.args.push_back(Param::Literal(sub));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {sub}, sink);
         return Status::OK();
       }
       case RelExpr::Kind::kProject: {
@@ -350,7 +377,7 @@ class FoTranslator {
         }
         a.params.push_back(std::move(attrs));
         a.args.push_back(Param::Literal(sub));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {sub}, sink);
         EmitDedup(out, sink);  // projection may collapse tuples
         return Status::OK();
       }
@@ -363,7 +390,7 @@ class FoTranslator {
         a.params.push_back(Param::Literal(e.b));  // to
         a.params.push_back(Param::Literal(e.a));  // from
         a.args.push_back(Param::Literal(sub));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {sub}, sink);
         return Status::OK();
       }
       case RelExpr::Kind::kUnion: {
@@ -376,7 +403,7 @@ class FoTranslator {
         a.target = Param::Literal(out);
         a.args.push_back(Param::Literal(l));
         a.args.push_back(Param::Literal(r));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {l, r}, sink);
         // Classical union = tabular union + column purge + dedup (§3.4).
         EmitColumnPurge(out, sink);
         EmitDedup(out, sink);
@@ -392,7 +419,7 @@ class FoTranslator {
         a.target = Param::Literal(out);
         a.args.push_back(Param::Literal(l));
         a.args.push_back(Param::Literal(r));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {l, r}, sink);
         return Status::OK();
       }
       case RelExpr::Kind::kProduct: {
@@ -405,7 +432,7 @@ class FoTranslator {
         a.target = Param::Literal(out);
         a.args.push_back(Param::Literal(l));
         a.args.push_back(Param::Literal(r));
-        Emit(std::move(a), sink);
+        EmitReading(std::move(a), {l, r}, sink);
         return Status::OK();
       }
     }
@@ -427,16 +454,22 @@ class FoTranslator {
           a.target = Param::Literal(s.target);
           a.params.push_back(Param::Literal(s.new_attr));
           a.args.push_back(Param::Literal(sub));
-          Emit(std::move(a), sink);
+          EmitReading(std::move(a), {sub}, sink);
           break;
         }
         case FoStatement::Kind::kWhile: {
           lang::WhileLoop loop;
           loop.condition = Param::Literal(s.condition);
+          ++loop_depth_;
           TABULAR_RETURN_NOT_OK(TranslateStatements(s.body, &loop.body));
+          --loop_depth_;
           Statement st;
           st.node = std::move(loop);
           sink->push_back(std::move(st));
+          if (loop_depth_ == 0) {
+            for (Symbol c : loop_consts_) EmitDrop(c, sink);
+            loop_consts_.clear();
+          }
           break;
         }
       }
@@ -450,6 +483,10 @@ class FoTranslator {
  private:
   size_t counter_ = 0;
   std::vector<core::Table> prelude_;
+  size_t loop_depth_ = 0;
+  /// Prelude tables copied inside the current top-level while, dropped
+  /// after it.
+  std::vector<Symbol> loop_consts_;
 };
 
 }  // namespace

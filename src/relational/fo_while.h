@@ -105,9 +105,13 @@ struct FoTranslation {
 /// Theorem 4.1: compiles an FO+while+new program into an equivalent
 /// tabular-algebra program operating on the tabular images of the
 /// relations (see rel::RelationalToTabular). The translation introduces
-/// scratch tables named "fo_tmp<k>" (and constant tables "fo_const<k>");
-/// after the run, each FO variable R holds, as a table named R, the
-/// relation the FO program would compute.
+/// scratch tables named "fo_tmp<k>" (and constant tables "fo_const<k>")
+/// and drops each once nothing reads it again: a `fo_tmp` right after its
+/// one reader, a `fo_const` after its copy, or after the enclosing
+/// top-level while when the copy sits in a loop body. After the run, each
+/// FO variable R holds, as a table named R, the relation the FO program
+/// would compute, and the database holds no other table the translation
+/// introduced.
 Result<FoTranslation> TranslateFoToTabular(const FoProgram& program);
 
 }  // namespace tabular::rel

@@ -119,7 +119,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
     return compiled;
   }
   compiled->parsed = std::move(*parsed);
-  compiled->optimized = compiled->parsed;
 
   // Analyze against the coarsened image (see CoarsenedSchema): any error it
   // reports is definite for *every* database with this fingerprint, so the
@@ -136,14 +135,12 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
     compiled->warnings.push_back(d);
   }
 
-  if (options_.optimize) {
-    // The optimizer starts from this analysis instead of repeating it.
-    lang::OptimizerOptions opt;
-    opt.validate_rewrites = options_.validate_rewrites;
-    compiled->optimized =
-        lang::OptimizeProgram(compiled->parsed, coarse, std::move(analyzed),
-                              opt, &compiled->optimize_stats);
-  }
+  // The optimizer starts from this analysis instead of repeating it.
+  lang::OptimizerOptions opt;
+  opt.validate_rewrites = options_.validate_rewrites;
+  compiled->optimized =
+      lang::OptimizeProgram(compiled->parsed, coarse, std::move(analyzed),
+                            opt, &compiled->optimize_stats);
 
   // Cost the final plan against the *exact* image of the compiling
   // snapshot: the coarsened image's ≥1 row classes have no finite upper

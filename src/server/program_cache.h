@@ -32,8 +32,8 @@ struct CompiledProgram {
   /// returns this status without running anything (negative caching).
   Status front_end;
   lang::Program parsed;
-  /// The validator-certified rewritten form (== `parsed` when optimization
-  /// was off or found nothing).
+  /// The validator-certified rewritten form (== `parsed` when the engine
+  /// found nothing).
   lang::Program optimized;
   lang::OptimizeStats optimize_stats;
   /// Analyzer warnings (errors land in `front_end`).
@@ -147,7 +147,6 @@ class ProgramCache {
  public:
   struct Options {
     size_t capacity = 128;        ///< entries; 0 disables caching
-    bool optimize = true;         ///< run the certified rewrite engine
     bool validate_rewrites = true;
   };
 

@@ -388,19 +388,45 @@ TEST(AnalysisFactsTest, AllTableNamesWalksEveryPosition) {
 }
 
 TEST(AnalysisFactsTest, DeadStoreKeepMaskFlagsOverwrites) {
-  auto program = lang::ParseProgram(
-      "X <- transpose (Sales);\n"     // dead: overwritten at 3
-      "Y <- transpose (Sales);\n"     // live: read at 3
-      "X <- project {Part} (Y);\n"    // live: in live_out
-      "Z <- transpose (Sales);\n");   // live: in live_out
-  ASSERT_TRUE(program.ok());
-  std::vector<bool> keep =
-      DeadStoreKeepMask(*program, AllTableNames(*program));
-  ASSERT_EQ(keep.size(), 4u);
-  EXPECT_FALSE(keep[0]);
-  EXPECT_TRUE(keep[1]);
-  EXPECT_TRUE(keep[2]);
-  EXPECT_TRUE(keep[3]);
+  struct Case {
+    const char* program;
+    std::vector<bool> keep;
+  };
+  const Case cases[] = {
+      {"X <- transpose (Sales);\n"     // dead: overwritten at 3
+       "Y <- transpose (Sales);\n"     // live: read at 3
+       "X <- project {Part} (Y);\n"    // live at exit
+       "Z <- transpose (Sales);\n",    // live at exit
+       {false, true, true, true}},
+      // An overwritten store.
+      {"Out <- transpose (In);\n"
+       "Out <- transpose (Other);\n",
+       {false, true}},
+      // A read between the two writes keeps both.
+      {"Out <- transpose (In);\n"
+       "Copy <- transpose (Out);\n"
+       "Out <- transpose (Other);\n",
+       {true, true, true}},
+      // A store dropped before any read is dead; the drop stays.
+      {"Tmp <- transpose (In);\n"
+       "drop Tmp;\n",
+       {false, true}},
+      // A wildcard read keeps every earlier store live.
+      {"Tmp <- transpose (In);\n"
+       "*1 <- transpose (*1);\n"
+       "Tmp <- transpose (Other);\n",
+       {true, true, true}},
+      // So does a read in a while body.
+      {"Seed <- transpose (In);\n"
+       "while Work do { Work <- difference (Work, Seed); }\n"
+       "Seed <- transpose (Other);\n",
+       {true, true, true}},
+  };
+  for (const Case& c : cases) {
+    auto program = lang::ParseProgram(c.program);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    EXPECT_EQ(DeadStoreKeepMask(*program), c.keep) << c.program;
+  }
 }
 
 TEST(AnalysisFactsTest, CollectParamNamesMarksWildcardsUniversal) {

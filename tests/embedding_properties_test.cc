@@ -110,6 +110,11 @@ TEST_P(EmbeddingPropertyTest, GoodEdgeProgramsAgreeAcrossLayers) {
   for (const core::Table& t : ta->prelude_tables) tdb.Add(t);
   lang::Interpreter interp;
   ASSERT_TRUE(interp.Run(ta->program, &tdb).ok());
+  // The translation drops every table it introduces.
+  const core::SymbolVec fo_names = rdb.Names();
+  EXPECT_EQ(tdb.TableNames(),
+            core::SymbolSet(fo_names.begin(), fo_names.end()))
+      << "seed " << GetParam();
   rel::RelationalDatabase out;
   for (Symbol name : {good::GoodNodesName(), good::GoodEdgesName()}) {
     auto r = rel::TableToRelation(tdb.Named(name)[0]);

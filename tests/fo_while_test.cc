@@ -120,7 +120,7 @@ TEST(FoEvalTest, WhileIterationCap) {
 // ---------------------------------------------------------------------------
 
 /// Runs `p` both natively and translated-to-TA; expects the named results
-/// to agree as relations.
+/// to agree as relations, and both runs to leave the same table names.
 void ExpectSimulationAgrees(const FoProgram& p, RelationalDatabase db,
                             const std::vector<core::Symbol>& outputs) {
   RelationalDatabase native = db;
@@ -133,6 +133,10 @@ void ExpectSimulationAgrees(const FoProgram& p, RelationalDatabase db,
   lang::Interpreter interp;
   Status st = interp.Run(translation->program, &tdb);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  // The translation drops every table it introduces.
+  const core::SymbolVec fo_names = native.Names();
+  EXPECT_EQ(tdb.TableNames(),
+            core::SymbolSet(fo_names.begin(), fo_names.end()));
 
   for (core::Symbol out : outputs) {
     std::vector<core::Table> tables = tdb.Named(out);
@@ -202,6 +206,44 @@ TEST(FoSimulationTest, TransitiveClosureAgrees) {
       N("TC"), RelExpr::Un(RelExpr::Rel(N("TC")), RelExpr::Rel(N("Delta")))));
   p.statements.push_back(FoStatement::While(N("Delta"), std::move(body)));
   ExpectSimulationAgrees(p, EdgeDb(), {N("TC")});
+}
+
+TEST(FoSimulationTest, ScratchIsDroppedAfterItsLastReader) {
+  FoProgram p;
+  p.statements.push_back(FoStatement::Assign(
+      N("Out"),
+      RelExpr::Proj(RelExpr::SelConst(RelExpr::Rel(N("R")), N("A"), V("1")),
+                    {N("B")})));
+  std::vector<FoStatement> body;
+  body.push_back(FoStatement::Assign(
+      N("W"), RelExpr::Diff(RelExpr::Rel(N("W")),
+                            RelExpr::Const({N("A")}, {V("x")}))));
+  p.statements.push_back(FoStatement::While(N("W"), std::move(body)));
+
+  // Each fo_tmp goes right after its one reader, in the loop body too; the
+  // constant the body copies on every pass goes after the loop.
+  auto translation = TranslateFoToTabular(p);
+  ASSERT_TRUE(translation.ok()) << translation.status().ToString();
+  EXPECT_EQ(translation->program.ToString(),
+            "fo_tmp1 <- project {*9} (R);\n"
+            "fo_tmp0 <- selectconst A = '1' (fo_tmp1);\n"
+            "drop fo_tmp1;\n"
+            "Out <- project {B} (fo_tmp0);\n"
+            "drop fo_tmp0;\n"
+            "Out <- cleanup by {*9} on {_} (Out);\n"
+            "while W do {\n"
+            "  fo_tmp2 <- project {*9} (W);\n"
+            "  fo_tmp3 <- project {*9} (fo_const0);\n"
+            "  W <- difference (fo_tmp2, fo_tmp3);\n"
+            "  drop fo_tmp2;\n"
+            "  drop fo_tmp3;\n"
+            "}\n"
+            "drop fo_const0;\n");
+
+  RelationalDatabase db;
+  db.Put(Relation::Make("R", {"A", "B"}, {{"1", "p"}, {"2", "q"}}));
+  db.Put(Relation::Make("W", {"A"}, {{"x"}}));
+  ExpectSimulationAgrees(p, db, {N("Out"), N("W")});
 }
 
 }  // namespace

@@ -1,25 +1,15 @@
-#include "lang/optimizer.h"
-
 #include <gtest/gtest.h>
 
-#include "core/compare.h"
 #include "lang/interpreter.h"
 #include "lang/parser.h"
-#include "relational/canonical.h"
-#include "relational/fo_while.h"
-#include "schemalog/parser.h"
-#include "schemalog/translate.h"
 #include "tests/test_util.h"
 
 namespace tabular::lang {
 namespace {
 
-using core::Symbol;
-using core::SymbolSet;
 using core::Table;
 using core::TabularDatabase;
 using ::tabular::testing::N;
-using ::tabular::testing::V;
 
 Program MustParse(const char* src) {
   auto r = ParseProgram(src);
@@ -28,7 +18,7 @@ Program MustParse(const char* src) {
 }
 
 // ---------------------------------------------------------------------------
-// drop statement (the optimizer's target primitive)
+// drop statement (the translators end each scratch table's life with one)
 // ---------------------------------------------------------------------------
 
 TEST(DropTest, RemovesNamedTables) {
@@ -53,182 +43,6 @@ TEST(DropTest, ParsesAndPrints) {
   EXPECT_EQ(p.ToString(), "drop T;\n");
   auto reparsed = ParseProgram(p.ToString());
   ASSERT_TRUE(reparsed.ok());
-}
-
-// ---------------------------------------------------------------------------
-// Dead-store elimination
-// ---------------------------------------------------------------------------
-
-TEST(DeadStoreTest, RemovesUnreadScratch) {
-  Program p = MustParse(R"(
-    Tmp <- transpose (In);
-    Out <- transpose (In);
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{N("Out")});
-  EXPECT_EQ(opt.statements.size(), 1u);
-  EXPECT_NE(opt.ToString().find("Out"), std::string::npos);
-}
-
-TEST(DeadStoreTest, KeepsStoresFeedingOutputs) {
-  Program p = MustParse(R"(
-    Tmp <- transpose (In);
-    Out <- transpose (Tmp);
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{N("Out")});
-  EXPECT_EQ(opt.statements.size(), 2u);
-}
-
-TEST(DeadStoreTest, OverwrittenStoreIsDead) {
-  Program p = MustParse(R"(
-    Out <- transpose (In);
-    Out <- transpose (Other);
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{N("Out")});
-  EXPECT_EQ(opt.statements.size(), 1u);
-}
-
-TEST(DeadStoreTest, ReadBetweenWritesKeepsBoth) {
-  Program p = MustParse(R"(
-    Out <- transpose (In);
-    Copy <- transpose (Out);
-    Out <- transpose (Other);
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{N("Out"), N("Copy")});
-  EXPECT_EQ(opt.statements.size(), 3u);
-}
-
-TEST(DeadStoreTest, WildcardReadsKeepEverything) {
-  Program p = MustParse(R"(
-    Tmp <- transpose (In);
-    *1 <- transpose (*1);
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{});
-  EXPECT_EQ(opt.statements.size(), 2u);
-}
-
-TEST(DeadStoreTest, WhileBodyReadsStayLive) {
-  Program p = MustParse(R"(
-    Seed <- transpose (In);
-    while Work do {
-      Work <- difference (Work, Seed);
-    }
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{N("Work")});
-  EXPECT_EQ(opt.statements.size(), 2u);
-}
-
-TEST(DeadStoreTest, StoreDeadAfterDrop) {
-  Program p = MustParse(R"(
-    Tmp <- transpose (In);
-    drop Tmp;
-  )");
-  Program opt = EliminateDeadStores(p, SymbolSet{});
-  // The store is dead (dropped before any read); the drop survives.
-  EXPECT_EQ(opt.statements.size(), 1u);
-  EXPECT_NE(opt.ToString().find("drop"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Scratch drops and the combined pipeline on generated programs
-// ---------------------------------------------------------------------------
-
-TEST(ScratchDropTest, InsertsDropAfterLastUse) {
-  Program p = MustParse(R"(
-    fo_tmp0 <- transpose (In);
-    Out <- transpose (fo_tmp0);
-    Out2 <- transpose (In);
-  )");
-  Program opt = InsertScratchDrops(p, IsTranslatorScratchName);
-  ASSERT_EQ(opt.statements.size(), 4u);
-  EXPECT_EQ(opt.statements[2].ToString(), "drop fo_tmp0;");
-}
-
-TEST(ScratchDropTest, PrefixPredicate) {
-  EXPECT_TRUE(IsTranslatorScratchName(N("fo_tmp12")));
-  EXPECT_TRUE(IsTranslatorScratchName(N("fo_const0")));
-  EXPECT_TRUE(IsTranslatorScratchName(N("sl_new")));
-  EXPECT_TRUE(IsTranslatorScratchName(N("good_emb3")));
-  EXPECT_FALSE(IsTranslatorScratchName(N("Sales")));
-  EXPECT_FALSE(IsTranslatorScratchName(V("fo_tmp1")));  // values excluded
-}
-
-/// The optimized translated program must produce the same output tables
-/// and leave no scratch behind.
-TEST(OptimizePipelineTest, SchemaLogTranslationPreservedAndCleaned) {
-  auto slog = slog::ParseSlogProgram(R"(
-    tc[?T: ?A -> ?V] :- edge[?T: ?A -> ?V].
-    tc[?T: to -> ?Z] :- tc[?T: to -> ?Y], edge[?U: from -> ?Y],
-                        edge[?U: to -> ?Z].
-  )");
-  ASSERT_TRUE(slog.ok());
-  auto ta = slog::TranslateSlogToTabular(*slog);
-  ASSERT_TRUE(ta.ok());
-
-  rel::RelationalDatabase rdb;
-  rdb.Put(rel::Relation::Make("edge", {"from", "to"},
-                              {{"a", "b"}, {"b", "c"}, {"c", "d"}}));
-  slog::FactBase edb = slog::FactsFromRelational(rdb);
-
-  auto run = [&](const Program& program) -> TabularDatabase {
-    TabularDatabase db;
-    db.Add(rel::RelationToTable(slog::FactsToRelation(edb)));
-    for (const Table& t : ta->prelude_tables) db.Add(t);
-    Interpreter interp;
-    Status st = interp.Run(program, &db);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return db;
-  };
-
-  TabularDatabase plain = run(ta->program);
-  Program optimized =
-      OptimizeTranslated(ta->program, SymbolSet{slog::SlogFactsName()});
-  // One drop per scratch name at most: bounded by doubling.
-  EXPECT_LE(optimized.statements.size(),
-            2 * ta->program.statements.size() + 16);
-  TabularDatabase opt = run(optimized);
-
-  // Same SL output.
-  ASSERT_EQ(plain.Named(slog::SlogFactsName()).size(), 1u);
-  ASSERT_EQ(opt.Named(slog::SlogFactsName()).size(), 1u);
-  EXPECT_TRUE(core::EquivalentUpToPermutation(
-      plain.Named(slog::SlogFactsName())[0],
-      opt.Named(slog::SlogFactsName())[0]));
-
-  // No translator scratch left behind.
-  size_t scratch = 0;
-  for (core::Symbol nm : opt.TableNames()) {
-    if (IsTranslatorScratchName(nm)) ++scratch;
-  }
-  EXPECT_EQ(scratch, 0u) << "scratch tables survived optimization";
-  EXPECT_LT(opt.size(), plain.size());
-}
-
-TEST(OptimizePipelineTest, FoTranslationPreserved) {
-  using rel::FoStatement;
-  using rel::RelExpr;
-  rel::FoProgram fo;
-  fo.statements.push_back(FoStatement::Assign(
-      N("Out"),
-      RelExpr::Proj(RelExpr::SelConst(RelExpr::Rel(N("R")), N("A"), V("1")),
-                    {N("B")})));
-  auto ta = rel::TranslateFoToTabular(fo);
-  ASSERT_TRUE(ta.ok());
-  Program optimized =
-      OptimizeTranslated(ta->program, SymbolSet{N("Out")});
-
-  TabularDatabase db;
-  db.Add(Table::Parse({{"!R", "!A", "!B"},
-                       {"#", "1", "x"},
-                       {"#", "2", "y"},
-                       {"#", "1", "z"}}));
-  for (const Table& t : ta->prelude_tables) db.Add(t);
-  ASSERT_TRUE(RunProgram(optimized, &db).ok());
-  ASSERT_EQ(db.Named(N("Out")).size(), 1u);
-  EXPECT_EQ(db.Named(N("Out"))[0].height(), 2u);
-  for (core::Symbol nm : db.TableNames()) {
-    EXPECT_FALSE(IsTranslatorScratchName(nm))
-        << nm.ToString() << " survived";
-  }
 }
 
 }  // namespace

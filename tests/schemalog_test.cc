@@ -229,6 +229,10 @@ void ExpectEmbeddingAgrees(const SlogProgram& p, const FactBase& edb) {
   lang::Interpreter interp;
   Status st = interp.Run(ta->program, &tdb);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  // The translation drops every table it introduces.
+  const core::SymbolVec fo_names = rdb.Names();
+  EXPECT_EQ(tdb.TableNames(),
+            core::SymbolSet(fo_names.begin(), fo_names.end()));
   std::vector<core::Table> sl = tdb.Named(SlogFactsName());
   ASSERT_EQ(sl.size(), 1u);
   auto back = rel::TableToRelation(sl[0]);

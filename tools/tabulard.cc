@@ -40,7 +40,6 @@ options:
   --listen <host:port> listen on localhost TCP (port 0 = ephemeral)
   --unix <path>        listen on a unix socket instead
   --cache-capacity <n> compiled-program cache entries (default 128)
-  --no-optimize        skip the certified rewrite engine when compiling
   --drain-seconds <s>  graceful-shutdown drain deadline (default 5)
   --max-sessions <n>   concurrent session limit, at least 1 (default 1024)
   --slow-ms <ms>       slow-query log threshold in milliseconds
@@ -179,8 +178,6 @@ int main(int argc, char** argv) {
         return Malformed("--cache-capacity", v, "an entry count");
       }
       options.cache.capacity = n;
-    } else if (arg == "--no-optimize") {
-      options.cache.optimize = false;
     } else if (arg == "--drain-seconds") {
       const char* v = need_value(i, "--drain-seconds");
       if (v == nullptr) return 2;
